@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the simulation substrate: matching
-//! sampling (serial and pool-sharded), counter-output agent RNG, metrics
+//! sampling (serial and pool-sharded, as pairs and straight into the
+//! partner table), counter-output agent RNG, metrics
 //! observation, the estimator, and the engine execution paths the
 //! `experiments` binary actually drives ([`Engine::run`] serial and
 //! sharded, [`BatchRunner`]) — the benches exercise the same code paths as
@@ -12,7 +13,8 @@ use popstab_core::params::Params;
 use popstab_core::state::AgentState;
 use popstab_sim::batch::{job_seed, ShardPool};
 use popstab_sim::matching::{
-    sample_matching, sample_matching_into, sample_matching_into_par, Matching, MatchingModel,
+    sample_matching, sample_matching_into, sample_matching_into_par, sample_partners_into,
+    Matching, MatchingModel,
 };
 use popstab_sim::protocols::Inert;
 use popstab_sim::rng::counter_seed;
@@ -83,6 +85,51 @@ fn bench_matching_par(c: &mut Criterion) {
                     pool,
                 );
                 out.len()
+            })
+        })
+    });
+    group.finish();
+}
+
+fn bench_partners_into(c: &mut Criterion) {
+    // The engine's per-round matching call: the matching sampled straight
+    // into the partner table, serial and pooled on every core. Compare
+    // with `matching_par` above plus a `partner_table_into` scatter, the
+    // two-step path it replaces.
+    let m = 262_144usize;
+    let shards = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let mut group = c.benchmark_group("partners_into");
+    group.throughput(Throughput::Elements(m as u64));
+    let mut partners = Vec::new();
+    let mut scratch = Vec::new();
+    let mut round = 0u64;
+    group.bench_function(BenchmarkId::new("full_serial", m), |b| {
+        b.iter(|| {
+            round += 1;
+            sample_partners_into(
+                &mut partners,
+                &mut scratch,
+                m,
+                MatchingModel::Full,
+                counter_seed(5, round, 0),
+                None,
+            )
+        })
+    });
+    group.bench_function(BenchmarkId::new(format!("full_{shards}shards"), m), |b| {
+        ShardPool::with(shards, |pool| {
+            b.iter(|| {
+                round += 1;
+                sample_partners_into(
+                    &mut partners,
+                    &mut scratch,
+                    m,
+                    MatchingModel::Full,
+                    counter_seed(5, round, 0),
+                    Some(pool),
+                )
             })
         })
     });
@@ -193,6 +240,7 @@ criterion_group!(
     benches,
     bench_matching,
     bench_matching_par,
+    bench_partners_into,
     bench_partner_table,
     bench_counter_rng,
     bench_engine_paths,

@@ -35,7 +35,9 @@
 //! trajectory; a `--quick` run uses shorter horizons but the same shape.
 //! Before overwriting, a committed `BENCH_engine.json` from the same kind
 //! of run (non-quick, same stream versions, same core count) serves as a
-//! regression baseline for `single_fast_rps` at `N = 65536`.
+//! regression baseline for `single_fast_rps` at `N = 65536`; when no such
+//! baseline exists, the run prints one `baseline check skipped:` line
+//! naming the reason instead of passing silently.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -149,37 +151,62 @@ fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32)
     }
 }
 
-/// Reads the committed `BENCH_engine.json` (if any) and returns its
+/// Reads the committed `BENCH_engine.json` and returns its
 /// `single_fast_rps` at `n`, provided the committed run is comparable with
 /// a run of this build: non-quick, same stream versions, same core count.
-/// The JSON is the fixed shape this module writes, so a line scan suffices
-/// (no JSON dependency in the build environment).
-fn committed_single_fast_rps(n: u64, quick: bool, host_cores: usize) -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_engine.json").ok()?;
-    let field = |name: &str| -> Option<String> {
-        let at = text.find(&format!("\"{name}\":"))?;
+/// Otherwise returns why the baseline check cannot run, for the one line
+/// the caller prints instead of gating. The JSON is the fixed shape this
+/// module writes, so a line scan suffices (no JSON dependency in the build
+/// environment).
+fn committed_single_fast_rps(n: u64, quick: bool, host_cores: usize) -> Result<f64, String> {
+    if quick {
+        return Err("this is a --quick run".into());
+    }
+    let text = std::fs::read_to_string("BENCH_engine.json")
+        .map_err(|e| format!("no committed BENCH_engine.json to compare with ({e})"))?;
+    let field = |name: &str| -> Result<String, String> {
+        let missing = || format!("committed BENCH_engine.json has no `{name}` field");
+        let at = text.find(&format!("\"{name}\":")).ok_or_else(missing)?;
         let rest = &text[at + name.len() + 3..];
-        let end = rest.find([',', '\n', '}'])?;
-        Some(rest[..end].trim().to_string())
+        let end = rest.find([',', '\n', '}']).ok_or_else(missing)?;
+        Ok(rest[..end].trim().to_string())
     };
-    if quick || field("quick")?.trim() != "false" {
-        return None;
+    if field("quick")? != "false" {
+        return Err("the committed BENCH_engine.json is from a --quick run".into());
     }
-    if field("host_cores")?.parse::<usize>().ok()? != host_cores {
-        return None;
+    let committed_cores = field("host_cores")?;
+    if committed_cores.parse::<usize>().ok() != Some(host_cores) {
+        return Err(format!(
+            "host_cores differs: committed {committed_cores}, this host {host_cores}"
+        ));
     }
-    if field("agent_stream_version")?.parse::<u32>().ok()? != popstab_sim::rng::AGENT_STREAM_VERSION
-        || field("matching_stream_version")?.parse::<u32>().ok()?
-            != popstab_sim::matching::MATCHING_STREAM_VERSION
-    {
-        return None;
+    for (name, ours) in [
+        (
+            "agent_stream_version",
+            popstab_sim::rng::AGENT_STREAM_VERSION,
+        ),
+        (
+            "matching_stream_version",
+            popstab_sim::matching::MATCHING_STREAM_VERSION,
+        ),
+    ] {
+        let committed = field(name)?;
+        if committed.parse::<u32>().ok() != Some(ours) {
+            return Err(format!(
+                "{name} differs: committed {committed}, this build {ours}"
+            ));
+        }
     }
     // Find the workload line for this `n` and pull its single_fast_rps.
-    let line = text.lines().find(|l| l.contains(&format!("\"n\": {n},")))?;
-    let at = line.find("\"single_fast_rps\":")?;
+    let no_cell = || format!("the committed BENCH_engine.json has no N={n} cell");
+    let line = text
+        .lines()
+        .find(|l| l.contains(&format!("\"n\": {n},")))
+        .ok_or_else(no_cell)?;
+    let at = line.find("\"single_fast_rps\":").ok_or_else(no_cell)?;
     let rest = &line[at + "\"single_fast_rps\":".len()..];
-    let end = rest.find(',')?;
-    rest[..end].trim().parse::<f64>().ok()
+    let end = rest.find(',').ok_or_else(no_cell)?;
+    rest[..end].trim().parse::<f64>().map_err(|_| no_cell())
 }
 
 /// Runs the benchmark, prints the table, and writes `BENCH_engine.json`.
@@ -239,15 +266,21 @@ pub fn run(quick: bool) {
         .iter()
         .find(|w| w.n == 65536)
         .map(|w| w.single_fast_rps);
-    if let (Some(committed), Some(fresh)) = (baseline_fast_65536, fresh_fast_65536) {
-        println!(
-            "\nbaseline check: single_fast_rps @ N=65536 fresh {fresh:.0} vs committed {committed:.0} ({:+.0}%)",
-            100.0 * (fresh - committed) / committed
-        );
-        assert!(
-            fresh >= 0.6 * committed,
-            "single_fast_rps at N=65536 regressed beyond noise: {fresh:.0} vs committed {committed:.0}"
-        );
+    match (baseline_fast_65536, fresh_fast_65536) {
+        (Ok(committed), Some(fresh)) => {
+            println!(
+                "\nbaseline check: single_fast_rps @ N=65536 fresh {fresh:.0} vs committed {committed:.0} ({:+.0}%)",
+                100.0 * (fresh - committed) / committed
+            );
+            assert!(
+                fresh >= 0.6 * committed,
+                "single_fast_rps at N=65536 regressed beyond noise: {fresh:.0} vs committed {committed:.0}"
+            );
+        }
+        (Err(why), _) => println!("\nbaseline check skipped: {why}"),
+        (Ok(_), None) => {
+            println!("\nbaseline check skipped: this run has no N=65536 cell (--n override)");
+        }
     }
 
     let mut json = String::from("{\n  \"benchmark\": \"engine-rounds-per-sec\",\n");

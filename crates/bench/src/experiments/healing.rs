@@ -11,7 +11,7 @@ use popstab_adversary::{Trauma, TraumaKind};
 use popstab_analysis::equilibrium::{exact_epoch_drift, exact_equilibrium};
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
-use popstab_sim::BatchRunner;
+use popstab_sim::{BatchRunner, SimConfig};
 
 use crate::{run_protocol, JobSpec};
 
@@ -34,7 +34,7 @@ pub fn run(quick: bool) {
     let outcomes = BatchRunner::from_env().run(shocks.to_vec(), |_, (label, kind, fraction)| {
         let adv = Trauma::new(params.clone(), kind, fraction, 2 * epoch);
         let mut spec = JobSpec::new(99, 2 + post_epochs).record_epoch_ends(&params);
-        spec.budget = usize::MAX;
+        spec.budget = SimConfig::UNBOUNDED_BUDGET;
         let run = run_protocol(&params, adv, spec);
         (label, run.trajectory().epoch_end_populations(epoch))
     });

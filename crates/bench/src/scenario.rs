@@ -134,7 +134,7 @@ fn trauma_injury_4096_scenario() -> SnapshotScenario {
     let epoch = u64::from(params.epoch_len());
     let adv = Trauma::new(params.clone(), TraumaKind::Injury, 0.7, 2 * epoch);
     let mut spec = JobSpec::new(14, 0);
-    spec.budget = usize::MAX;
+    spec.budget = SimConfig::UNBOUNDED_BUDGET;
     hook(&params, adv, &spec)
 }
 
@@ -202,7 +202,7 @@ fn fork_recovery_1024_scenario() -> SnapshotScenario {
     let epoch = u64::from(params.epoch_len());
     let adv = Trauma::new(params.clone(), TraumaKind::Injury, 0.6, 2 * epoch);
     let mut spec = JobSpec::new(20, 0);
-    spec.budget = usize::MAX;
+    spec.budget = SimConfig::UNBOUNDED_BUDGET;
     hook(&params, adv, &spec)
 }
 
@@ -303,7 +303,7 @@ const REGISTRY: &[NamedScenario] = &[
             let epoch = u64::from(params.epoch_len());
             let adv = Trauma::new(params.clone(), TraumaKind::Injury, 0.7, 2 * epoch);
             let mut spec = JobSpec::new(14, if quick { 20 } else { 60 }).record_epoch_ends(&params);
-            spec.budget = usize::MAX;
+            spec.budget = SimConfig::UNBOUNDED_BUDGET;
             report("trauma-injury-4096", &run_protocol(&params, adv, spec));
         },
         snapshot: Some(trauma_injury_4096_scenario),

@@ -803,7 +803,8 @@ fn step_range(
                 let sel = p != UNMATCHED;
                 let idx = if sel { p as usize } else { 0 };
                 // SAFETY: every partner slot indexes the live population
-                // (`partner_table_into` invariant), and `wire8` covers it.
+                // (the invariant of `sample_partners_into` and
+                // `partner_table_into`, both tested), and `wire8` covers it.
                 let byte = unsafe { *wire8.get_unchecked(idx) } & 0u8.wrapping_sub(u8::from(sel));
                 t |= u64::from(byte) << (b * 8);
             }

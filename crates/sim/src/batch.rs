@@ -628,9 +628,10 @@ impl<P: Protocol, A: Adversary<P::State>> Scenario<P, A> {
                 snap.config_mut().adversary_budget = budget;
             }
             // Same-process, same protocol type: the tag always matches and
-            // the agent column decodes exactly as it was encoded.
+            // the agent column decodes exactly as it was encoded; only a
+            // branch budget past the slot limit can fail the restore.
             let mut engine = Engine::restore(protocol.clone(), branch.adversary, &snap)
-                .expect("a freshly taken snapshot restores under its own protocol");
+                .expect("a fork branch's budget must keep its config valid");
             engine.set_columnar(columnar_default());
             eval(index, engine)
         })
@@ -665,7 +666,9 @@ impl<B> ForkBranch<B> {
         }
     }
 
-    /// Overrides the adversary budget for this branch (builder-style).
+    /// Overrides the adversary budget for this branch (builder-style). The
+    /// fork panics on a budget that, added to the snapshot's cap, reaches
+    /// [`SimConfig::SLOT_LIMIT`](crate::SimConfig::SLOT_LIMIT).
     #[must_use]
     pub fn budget(mut self, budget: usize) -> Self {
         self.budget = Some(budget);

@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use crate::error::SimError;
-use crate::matching::MatchingModel;
+use crate::matching::{MatchingModel, UNMATCHED};
 
 /// Configuration of a simulation run.
 ///
@@ -14,7 +14,9 @@ pub struct SimConfig {
     /// How the per-round random matching is sampled.
     pub matching: MatchingModel,
     /// Per-round adversary alteration budget `K`. The engine truncates any
-    /// excess alterations an adversary returns.
+    /// excess alterations an adversary returns. Together with
+    /// `max_population` it bounds the population a round matches, so the
+    /// two must sum to less than [`SimConfig::SLOT_LIMIT`].
     pub adversary_budget: usize,
     /// Master seed; all randomness (agents, matching, adversary) derives
     /// from it through independent streams.
@@ -30,9 +32,53 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// Exclusive bound on `max_population + adversary_budget`. A round
+    /// starts with at most `max_population` agents and the adversary may
+    /// insert up to `adversary_budget` more before the matching indexes
+    /// them with `u32` slots, whose top value is the
+    /// [`UNMATCHED`] sentinel.
+    pub const SLOT_LIMIT: usize = UNMATCHED as usize;
+
+    /// A per-round budget no scenario comes near (2³⁰ alterations), for
+    /// adversaries that exceed the paper's `K` by design, such as the
+    /// trauma shocks. With it, any cap below `3·2³⁰ − 1` (the default is
+    /// 2²⁸) keeps the sum under [`SLOT_LIMIT`](Self::SLOT_LIMIT).
+    pub const UNBOUNDED_BUDGET: usize = 1 << 30;
+
     /// Starts building a configuration.
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
+    }
+
+    /// Checks the invariants [`SimConfigBuilder::build`] enforces; snapshot
+    /// restore re-checks them on the decoded configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] if the matching fraction is out of
+    /// range, the cap is zero, or `max_population + adversary_budget`
+    /// reaches [`SLOT_LIMIT`](Self::SLOT_LIMIT).
+    pub fn validate(&self) -> Result<(), SimError> {
+        self.matching.validate()?;
+        if self.max_population == 0 {
+            return Err(SimError::invalid_config(
+                "max_population",
+                "must be positive",
+            ));
+        }
+        match self.max_population.checked_add(self.adversary_budget) {
+            Some(reach) if reach < Self::SLOT_LIMIT => Ok(()),
+            _ => Err(SimError::invalid_config(
+                "max_population",
+                format!(
+                    "max_population {} + adversary_budget {} must stay below {} \
+                     (u32 slot indices)",
+                    self.max_population,
+                    self.adversary_budget,
+                    Self::SLOT_LIMIT
+                ),
+            )),
+        }
     }
 }
 
@@ -101,23 +147,18 @@ impl SimConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if the matching fraction is out of
-    /// range or the cap is zero.
+    /// Returns [`SimError::InvalidConfig`] on any violation
+    /// [`SimConfig::validate`] lists.
     pub fn build(&self) -> Result<SimConfig, SimError> {
-        self.matching.validate()?;
-        if self.max_population == 0 {
-            return Err(SimError::invalid_config(
-                "max_population",
-                "must be positive",
-            ));
-        }
-        Ok(SimConfig {
+        let cfg = SimConfig {
             matching: self.matching,
             adversary_budget: self.adversary_budget,
             seed: self.seed,
             max_population: self.max_population,
             target: self.target,
-        })
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -161,5 +202,34 @@ mod tests {
     #[test]
     fn builder_rejects_zero_cap() {
         assert!(SimConfig::builder().max_population(0).build().is_err());
+    }
+
+    #[test]
+    fn builder_rejects_caps_whose_reach_hits_the_slot_limit() {
+        let build = |cap: usize, budget: usize| {
+            SimConfig::builder()
+                .max_population(cap)
+                .adversary_budget(budget)
+                .build()
+        };
+        let limit = SimConfig::SLOT_LIMIT;
+        assert!(build(limit - 1, 0).is_ok());
+        assert!(build(limit - 11, 10).is_ok());
+        assert!(build(1 << 28, SimConfig::UNBOUNDED_BUDGET).is_ok());
+        for (cap, budget) in [
+            (limit, 0),
+            (limit - 10, 10),
+            (1, limit - 1),
+            (1 << 28, usize::MAX),
+            (usize::MAX, 1),
+        ] {
+            match build(cap, budget) {
+                Err(SimError::InvalidConfig { field, reason }) => {
+                    assert_eq!(field, "max_population");
+                    assert!(reason.contains("u32"), "{reason}");
+                }
+                other => panic!("cap {cap} + budget {budget} accepted: {other:?}"),
+            }
+        }
     }
 }

@@ -90,10 +90,12 @@
 //!   The matching is counter-*keyed* the same way
 //!   ([`matching::MATCHING_STREAM_VERSION`]): each round's pairs are a
 //!   pure function of its round key, and above
-//!   [`matching::KEYED_PERMUTATION_MIN_POPULATION`] their construction
-//!   shards across the same pool — `--round-threads 32` and
-//!   `--round-threads 1` produce the same trajectory byte for byte (CI
-//!   diffs them every push).
+//!   [`matching::KEYED_PERMUTATION_MIN_POPULATION`] the engine samples
+//!   them straight into the partner table in one pass sharded across the
+//!   same pool ([`matching::sample_partners_into`]; each shard writes the
+//!   slots of its own pairs, disjoint because the keyed permutation is a
+//!   bijection) — `--round-threads 32` and `--round-threads 1` produce the
+//!   same trajectory byte for byte (CI diffs them every push).
 //!
 //! Observers never perturb the trajectory: the round loop is identical
 //! whether a run records everything or nothing, so a recording run, a

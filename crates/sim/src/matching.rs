@@ -19,11 +19,21 @@
 //! space ([`SlotPermutation`]). Because `perm(i)` is a stateless function
 //! of `(key, i)`, pair `p` of a large matching can be computed
 //! independently of every other pair — so the construction shards across
-//! the engine's [`ShardPool`]
-//! ([`sample_matching_into_par`]) with results **bit-identical to the
-//! serial sampler for every worker count**, removing the last serial
-//! `O(population)` stretch from the parallel round exactly where
-//! populations are large enough for it to bound the speedup.
+//! the engine's [`ShardPool`] with results **bit-identical to the serial
+//! sampler for every worker count**.
+//!
+//! # The engine's path and the reference oracle
+//!
+//! The engine consumes a matching only as its compact partner table, and
+//! samples it straight into that table with [`sample_partners_into`].
+//! Above the permutation threshold this is one sharded pass that writes
+//! every slot exactly once: each shard scatters its own range of pairs
+//! (and of the unmatched tail), so neither a pair list nor a serial
+//! scatter stands between the sampler and the step phase. The pair-list
+//! samplers ([`sample_matching_into`], [`sample_matching_into_par`]) and
+//! [`Matching::partner_table_into`] define the same matching in two
+//! steps; they are kept as the reference oracle the fused pass is tested
+//! against byte for byte, and for callers that want the pairs themselves.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -91,9 +101,10 @@ impl MatchingModel {
 }
 
 /// Sentinel for "unmatched" in the compact partner table built by
-/// [`Matching::partner_table`]. A real partner index cannot reach it:
-/// matchings index agents with `u32`, and the pair list itself would
-/// overflow memory long before `2³² − 1` agents.
+/// [`sample_partners_into`] and [`Matching::partner_table`]. A real
+/// partner index cannot reach it: matchings index agents with `u32`, and
+/// [`SimConfig`](crate::SimConfig) rejects any `max_population +
+/// adversary_budget` that lets the matched population reach `u32::MAX`.
 pub const UNMATCHED: u32 = u32::MAX;
 
 /// A sampled matching: disjoint index pairs into the population slice.
@@ -127,7 +138,9 @@ impl Matching {
     /// matched, [`UNMATCHED`] otherwise. The `u32`-sentinel form halves the
     /// table's memory traffic versus `Option<u32>`, which shows up directly
     /// in engine rounds/sec at large populations — it is the one partner
-    /// representation used throughout the workspace.
+    /// representation used throughout the workspace. The engine builds the
+    /// same table without the pair list ([`sample_partners_into`]); this
+    /// two-step form is its reference.
     pub fn partner_table(&self, population: usize) -> Vec<u32> {
         let mut table = Vec::new();
         self.partner_table_into(&mut table, population);
@@ -135,7 +148,7 @@ impl Matching {
     }
 
     /// As [`partner_table`](Matching::partner_table), but reusing `table`'s
-    /// allocation (the engine's per-round path).
+    /// allocation. A serial scatter over a prefilled table.
     pub fn partner_table_into(&self, table: &mut Vec<u32>, population: usize) {
         table.clear();
         table.resize(population, UNMATCHED);
@@ -361,18 +374,13 @@ fn planned_pairs(population: usize, model: MatchingModel, mkey: u64) -> usize {
     (target_agents / 2).min(population / 2)
 }
 
-/// Fills `out` with the first `n_pairs` pairs of a keyed Fisher–Yates
-/// shuffle of the slot space — the sub-[`KEYED_PERMUTATION_MIN_POPULATION`]
-/// branch of the sampler. Exactly uniform; serial (each swap depends on
-/// the last), but a pure function of the round key, so the parallel round
+/// Runs the keyed Fisher–Yates shuffle of the slot space far enough that
+/// `indices[..2 * n_pairs]` holds the round's pairs, consecutive slots
+/// forming one pair — the sub-[`KEYED_PERMUTATION_MIN_POPULATION`] branch
+/// of every sampler. Exactly uniform; serial (each swap depends on the
+/// last), but a pure function of the round key, so the parallel round
 /// paths compute it identically inline.
-fn shuffle_matching_into(
-    out: &mut Matching,
-    indices: &mut Vec<u32>,
-    population: usize,
-    n_pairs: usize,
-    mkey: u64,
-) {
+fn keyed_shuffle(indices: &mut Vec<u32>, population: usize, n_pairs: usize, mkey: u64) {
     let mut rng = CounterRng::keyed(sub_seed(mkey, PERM_SUBSTREAM));
     indices.clear();
     indices.extend(0..population as u32);
@@ -381,6 +389,17 @@ fn shuffle_matching_into(
         let j = rng.random_range(i..population);
         indices.swap(i, j);
     }
+}
+
+/// Fills `out` with the first `n_pairs` pairs of [`keyed_shuffle`].
+fn shuffle_matching_into(
+    out: &mut Matching,
+    indices: &mut Vec<u32>,
+    population: usize,
+    n_pairs: usize,
+    mkey: u64,
+) {
+    keyed_shuffle(indices, population, n_pairs, mkey);
     out.pairs
         .extend(indices[..2 * n_pairs].chunks_exact(2).map(|c| (c[0], c[1])));
 }
@@ -402,7 +421,7 @@ pub fn sample_matching(population: usize, model: MatchingModel, mkey: u64) -> Ma
 }
 
 /// As [`sample_matching`], but writing into `out` and using `indices` as
-/// shuffle scratch (the engine's per-round serial path).
+/// shuffle scratch.
 pub fn sample_matching_into(
     out: &mut Matching,
     indices: &mut Vec<u32>,
@@ -473,6 +492,95 @@ pub fn sample_matching_into_par(
             unsafe { base.get().add(p).write(pair) };
         }
     });
+}
+
+/// Samples the round's matching straight into the compact partner table:
+/// afterwards `partners[i] = j` iff `{i, j}` is matched, [`UNMATCHED`]
+/// otherwise — byte for byte what [`sample_matching_into`] followed by
+/// [`Matching::partner_table_into`] produces, without the intermediate
+/// pair list. Returns the number of matched agents. This is the engine's
+/// per-round matching call, serial and sharded alike.
+///
+/// * Below [`KEYED_PERMUTATION_MIN_POPULATION`] the pairs are scattered
+///   from the keyed Fisher–Yates `shuffle` (the same shuffle as
+///   [`sample_matching_into`]) into an `UNMATCHED`-filled table, inline
+///   whatever `pool` is.
+/// * Above it every slot is written exactly once, with no prefill: shard
+///   `s` of `pool` (one shard without a pool) takes its contiguous range
+///   of the pair indices `p`, writing `t[π(2p)] = π(2p+1)` and
+///   `t[π(2p+1)] = π(2p)`, then its range of the unmatched tail
+///   `2·n_pairs..population`, writing `t[π(q)] = UNMATCHED`. π is a
+///   bijection of the slot space, so the shards' writes are disjoint and
+///   together cover every slot; the table length is published after the
+///   dispatch barrier.
+///
+/// Every entry is therefore [`UNMATCHED`] or a slot `< population` — the
+/// invariant the columnar wire gather relies on.
+pub fn sample_partners_into(
+    partners: &mut Vec<u32>,
+    shuffle: &mut Vec<u32>,
+    population: usize,
+    model: MatchingModel,
+    mkey: u64,
+    pool: Option<&ShardPool>,
+) -> usize {
+    partners.clear();
+    let n_pairs = planned_pairs(population, model, mkey);
+    if n_pairs == 0 {
+        partners.resize(population, UNMATCHED);
+        return 0;
+    }
+    if population < KEYED_PERMUTATION_MIN_POPULATION {
+        keyed_shuffle(shuffle, population, n_pairs, mkey);
+        partners.resize(population, UNMATCHED);
+        for c in shuffle[..2 * n_pairs].chunks_exact(2) {
+            partners[c[0] as usize] = c[1];
+            partners[c[1] as usize] = c[0];
+        }
+        return 2 * n_pairs;
+    }
+    let perm = SlotPermutation::new(sub_seed(mkey, PERM_SUBSTREAM), population as u64);
+    let matched = 2 * n_pairs;
+    let nshards = pool.map_or(1, ShardPool::shards);
+    partners.reserve(population);
+    let table = SendPtr(partners.as_mut_ptr());
+    let fill = |s: usize| {
+        let (lo, hi) = shard_range(n_pairs, nshards, s);
+        for p in lo..hi {
+            let a = perm.apply(2 * p as u64);
+            let b = perm.apply(2 * p as u64 + 1);
+            // SAFETY: `a` and `b` are images of the slots 2p and 2p + 1,
+            // which pair index `p` alone covers and which belong to this
+            // shard's range only; π is a bijection onto `0..population`,
+            // the capacity reserved above, so no other write hits them.
+            unsafe {
+                table.get().add(a as usize).write(b as u32);
+                table.get().add(b as usize).write(a as u32);
+            }
+        }
+        let (lo, hi) = shard_range(population - matched, nshards, s);
+        for q in matched + lo..matched + hi {
+            // SAFETY: tail slot `q` belongs to this shard's range only and
+            // lies outside every pair's slots, so its image under the
+            // bijection π is written by no one else; it is in bounds as
+            // above.
+            unsafe {
+                table
+                    .get()
+                    .add(perm.apply(q as u64) as usize)
+                    .write(UNMATCHED)
+            };
+        }
+    };
+    match pool {
+        Some(pool) => pool.dispatch(&fill),
+        None => fill(0),
+    }
+    // SAFETY: the shards' writes cover every slot of `0..population`
+    // exactly once (π is a bijection and the pair and tail ranges
+    // partition its domain), and the dispatch barrier has passed.
+    unsafe { partners.set_len(population) };
+    matched
 }
 
 /// Samples a full uniformly random permutation matching with a serial
@@ -749,6 +857,53 @@ mod tests {
                         );
                     });
                     assert_eq!(serial, par, "pop {population}, {shards} shards");
+                }
+            }
+        }
+    }
+
+    /// The fused pass against the reference oracle (pairs, then the serial
+    /// scatter), byte for byte, on both sides of
+    /// [`KEYED_PERMUTATION_MIN_POPULATION`] and for every pool shape. The
+    /// output buffer is poisoned before each call, so a slot the pass
+    /// failed to write would surface as a stale value.
+    #[test]
+    fn partner_pass_equals_pairs_then_scatter() {
+        use crate::batch::ShardPool;
+        const POISON: u32 = 0xDEAD_BEEF;
+        let mut got = Vec::new();
+        let mut scratch = Vec::new();
+        for population in [
+            0usize, 1, 2, 3, 7, 64, 257, 1000, 65_535, 65_536, 65_537, 70_001,
+        ] {
+            for (t, model) in [
+                MatchingModel::Full,
+                MatchingModel::ExactFraction(0.37),
+                MatchingModel::RandomFraction { min_gamma: 0.25 },
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mkey = trial_key(16, (population as u64) << 8 | t as u64);
+                let mut pairs = Matching::default();
+                sample_matching_into(&mut pairs, &mut scratch, population, model, mkey);
+                let want = pairs.partner_table(population);
+                let mut check = |pool: Option<&ShardPool>| {
+                    got.clear();
+                    got.resize(population + 64, POISON);
+                    let matched =
+                        sample_partners_into(&mut got, &mut scratch, population, model, mkey, pool);
+                    let shards = pool.map_or(0, ShardPool::shards);
+                    assert_eq!(got, want, "pop {population}, model {t}, {shards} shards");
+                    assert_eq!(matched, pairs.matched_agents());
+                    // The invariant the columnar wire gather indexes by.
+                    assert!(got
+                        .iter()
+                        .all(|&p| p == UNMATCHED || (p as usize) < population));
+                };
+                check(None);
+                for shards in [1usize, 2, 3, 8] {
+                    ShardPool::with(shards, |pool| check(Some(pool)));
                 }
             }
         }

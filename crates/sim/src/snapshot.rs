@@ -66,6 +66,7 @@ use crate::agent::Protocol;
 use crate::config::SimConfig;
 use crate::driver::{EngineView, Observer};
 use crate::engine::{HaltReason, RoundReport};
+use crate::error::SimError;
 use crate::matching::{MatchingModel, MATCHING_STREAM_VERSION};
 use crate::rng::{splitmix_finalize, AGENT_STREAM_VERSION};
 
@@ -169,6 +170,10 @@ pub enum SnapshotError {
         /// The restoring protocol's tag.
         expected: String,
     },
+    /// The snapshot's configuration fails [`SimConfig::validate`] (the
+    /// [`SimError::InvalidConfig`] the builder would have returned), e.g.
+    /// a cap whose reach overflows the `u32` slot space.
+    InvalidConfig(SimError),
 }
 
 impl fmt::Display for SnapshotError {
@@ -210,11 +215,18 @@ impl fmt::Display for SnapshotError {
                 f,
                 "snapshot holds `{found}` agent states, the restoring protocol needs `{expected}`"
             ),
+            SnapshotError::InvalidConfig(e) => write!(f, "snapshot configuration rejected: {e}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<SimError> for SnapshotError {
+    fn from(e: SimError) -> Self {
+        SnapshotError::InvalidConfig(e)
+    }
+}
 
 impl From<io::Error> for SnapshotError {
     fn from(e: io::Error) -> Self {

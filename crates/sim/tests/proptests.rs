@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use popstab_sim::batch::{job_seed, BatchRunner};
-use popstab_sim::matching::{sample_matching, MatchingModel, UNMATCHED};
+use popstab_sim::matching::{sample_matching, sample_partners_into, MatchingModel, UNMATCHED};
 use popstab_sim::protocols::{Inert, InertState};
 use popstab_sim::rng::counter_seed;
 use popstab_sim::{
@@ -142,6 +142,18 @@ proptest! {
         }
         let matched = table.iter().filter(|&&p| p != UNMATCHED).count();
         prop_assert_eq!(matched, m.matched_agents());
+        // The engine's fused pass builds the same table from the same key.
+        let (mut fused, mut scratch) = (vec![u32::MAX - 1; 3], Vec::new());
+        let fused_matched = sample_partners_into(
+            &mut fused,
+            &mut scratch,
+            population,
+            MatchingModel::Full,
+            counter_seed(seed, 2, 0),
+            None,
+        );
+        prop_assert_eq!(&fused, &table);
+        prop_assert_eq!(fused_matched, m.matched_agents());
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cfg = SimConfig::builder()
             .seed(13)
             .target(n)
-            .adversary_budget(usize::MAX)
+            .adversary_budget(SimConfig::UNBOUNDED_BUDGET)
             .build()?;
         let mut engine = Engine::with_adversary(protocol, trauma, cfg, n as usize);
 

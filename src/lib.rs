@@ -141,7 +141,7 @@
 //!   a CI leg repeats the diff at N = 2²⁰ and byte-compares mid-run
 //!   snapshots from both paths.
 //! * **Byte budget.** At large N the resident footprint is the agent
-//!   vector plus a few dozen bits of column state per agent — ~50 B/agent
+//!   vector plus a few dozen bits of column state per agent — ~46 B/agent
 //!   total at N = 2²⁰/2²² ([`Engine::approx_mem_bytes`](prelude::Engine)),
 //!   recorded per workload as `mem_bytes_per_agent` in `BENCH_engine.json`
 //!   (`experiments bench`, scales overridable via `--n`). The committed

@@ -40,7 +40,7 @@ fn trauma_engine(seed: u64) -> Engine<PopulationStability, Trauma> {
     let cfg = SimConfig::builder()
         .seed(seed)
         .target(TARGET)
-        .adversary_budget(usize::MAX)
+        .adversary_budget(SimConfig::UNBOUNDED_BUDGET)
         .build()
         .unwrap();
     Engine::with_adversary(PopulationStability::new(params), adv, cfg, TARGET as usize)

@@ -192,7 +192,7 @@ fn golden_popstab_trauma_adversary() {
         let cfg = SimConfig::builder()
             .seed(0xDEAD)
             .target(1024)
-            .adversary_budget(usize::MAX)
+            .adversary_budget(SimConfig::UNBOUNDED_BUDGET)
             .build()
             .unwrap();
         Engine::with_adversary(PopulationStability::new(params.clone()), adv, cfg, 1024)

@@ -235,7 +235,7 @@ fn trauma_recovery_moves_toward_equilibrium() {
         let cfg = SimConfig::builder()
             .seed(seed)
             .target(4096)
-            .adversary_budget(usize::MAX)
+            .adversary_budget(SimConfig::UNBOUNDED_BUDGET)
             .build()
             .unwrap();
         let mut engine =

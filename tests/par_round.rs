@@ -67,7 +67,7 @@ fn adversarial_par_fast_path_matches_serial_fast_path() {
         let cfg = SimConfig::builder()
             .seed(0xD00D)
             .target(1024)
-            .adversary_budget(usize::MAX)
+            .adversary_budget(SimConfig::UNBOUNDED_BUDGET)
             .build()
             .unwrap();
         let mut engine =
