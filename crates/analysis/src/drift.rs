@@ -31,9 +31,11 @@ pub struct DriftPoint {
 }
 
 /// Runs `trials` single-epoch simulations starting at population `m0` with
-/// no adversary and returns the summary of `Δ = end − start`.
+/// no adversary and returns the summary of `Δ = end − start`. Trials fan
+/// out over one worker per core ([`BatchRunner::default`]).
 pub fn measure_drift(params: &Params, m0: usize, gamma: f64, trials: u32, seed: u64) -> Summary {
     measure_drift_with(
+        &BatchRunner::default(),
         params,
         m0,
         gamma,
@@ -44,15 +46,17 @@ pub fn measure_drift(params: &Params, m0: usize, gamma: f64, trials: u32, seed: 
     )
 }
 
-/// As [`measure_drift`], but under an adversary built per-trial by
-/// `make_adversary`, with per-round budget `k`.
+/// As [`measure_drift`], but on `runner`'s workers and under an adversary
+/// built per-trial by `make_adversary`, with per-round budget `k`.
 ///
-/// Trials fan out across a [`BatchRunner::from_env`] worker pool;
+/// Trials fan out across `runner`'s worker pool;
 /// `make_adversary` is therefore called from worker threads (hence `Fn +
 /// Sync`), once per trial, on the thread that runs that trial. Per-trial
 /// seeds depend only on `seed` and the trial index, so the result does not
 /// depend on the worker count.
+#[allow(clippy::too_many_arguments)]
 pub fn measure_drift_with<A, F>(
+    runner: &BatchRunner,
     params: &Params,
     m0: usize,
     gamma: f64,
@@ -66,7 +70,7 @@ where
     F: Fn() -> A + Sync,
 {
     let epoch = u64::from(params.epoch_len());
-    let deltas = BatchRunner::from_env().run((0..trials).collect(), |_, trial: u32| {
+    let deltas = runner.run((0..trials).collect(), |_, trial: u32| {
         let cfg = SimConfig::builder()
             .seed(
                 seed.wrapping_add(u64::from(trial))

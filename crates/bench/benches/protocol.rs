@@ -60,7 +60,7 @@ fn bench_epoch(c: &mut Criterion) {
     let jobs = 4u64;
     group.throughput(Throughput::Elements(epoch * n * jobs));
     group.bench_function(format!("n1024_batch_{jobs}jobs"), |b| {
-        let runner = BatchRunner::from_env();
+        let runner = BatchRunner::default();
         b.iter(|| {
             let engines: Vec<_> = (0..jobs)
                 .map(|j| popstab_engine(n, job_seed(2, j)))

@@ -20,23 +20,18 @@
 //! config summary) and `scenario <name>...` runs registry entries by name.
 //!
 //! `--jobs N` caps the worker count of every `BatchRunner` trial fan-out
-//! (default: `POPSTAB_JOBS` or the machine's available parallelism).
-//! `--round-threads N` shards the step phase *inside* every protocol round
-//! across N workers (default: `POPSTAB_ROUND_THREADS` or serial rounds).
-//! By the determinism contracts the figures are identical for every value
-//! of both flags — CI diffs `--round-threads 1` against `--round-threads 4`
-//! to prove it.
+//! (default: one worker per core, divided by `--round-threads` when that
+//! is above 1). `--round-threads N` shards the step phase *inside* every
+//! protocol round across N workers (default: serial rounds). Both are
+//! parsed once into an [`Options`] value handed to every experiment; no
+//! environment variable is read. By the determinism contracts the figures
+//! are identical for every value of both flags — CI diffs
+//! `--round-threads 1` against `--round-threads 4` to prove it.
 //!
 //! `--n LIST` (comma-separated population targets, each a power of four
 //! ≥ 1024) overrides the `bench` experiment's scale plan — e.g.
 //! `experiments --n 1048576,4194304 bench` for a large-N-only sweep.
 //! Other experiments ignore it.
-//!
-//! `--columnar` (or `POPSTAB_COLUMNAR=1`) opts every scenario/snapshot/
-//! resume engine into the columnar (struct-of-arrays) step path. Also a
-//! pure performance knob: the columnar kernels replay the scalar
-//! trajectory bit-for-bit, which the CI columnar smoke leg diffs at
-//! `N = 2^20` to prove.
 //!
 //! `snapshot <name> --at R -o FILE` runs registry entry `<name>` to round
 //! `R` and writes the engine state as a versioned snapshot; `resume FILE
@@ -61,11 +56,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use popstab_bench::experiments;
-use popstab_sim::{Checkpoint, OnRound, RoundReport, RunSpec, Snapshot, Tee, Threads};
+use popstab_bench::{experiments, Options};
+use popstab_sim::{BatchRunner, Checkpoint, OnRound, RoundReport, RunSpec, Snapshot, Tee, Threads};
 
-/// (id, description, runner) — the runner receives the `--quick` flag.
-type Experiment = (&'static str, &'static str, fn(bool));
+/// (id, description, runner) — the runner receives the parsed command line.
+type Experiment = (&'static str, &'static str, fn(&Options));
 
 const IDS: &[Experiment] = &[
     (
@@ -138,8 +133,7 @@ const IDS: &[Experiment] = &[
 
 fn usage() {
     eprintln!(
-        "usage: experiments [--quick] [--jobs N] [--round-threads N] [--n LIST] [--columnar] \
-         <id>... | all"
+        "usage: experiments [--quick] [--jobs N] [--round-threads N] [--n LIST] <id>... | all"
     );
     eprintln!("       experiments --list | scenario <name>...");
     eprintln!("       experiments snapshot <name> --at <round> -o <file>");
@@ -155,7 +149,7 @@ fn usage() {
 }
 
 /// `experiments snapshot <name> --at R -o FILE`.
-fn cmd_snapshot(name: &str, at: u64, out: Option<&str>) -> ExitCode {
+fn cmd_snapshot(name: &str, at: u64, out: Option<&str>, threads: Threads) -> ExitCode {
     let Some(out) = out else {
         eprintln!("snapshot needs an output path (-o FILE)");
         return ExitCode::FAILURE;
@@ -169,7 +163,7 @@ fn cmd_snapshot(name: &str, at: u64, out: Option<&str>) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let mut engine = hook().engine();
-    engine.run(RunSpec::rounds(at).threads(Threads::from_env()), &mut ());
+    engine.run(RunSpec::rounds(at).threads(threads), &mut ());
     let mut snap = engine.snapshot();
     snap.label = name.to_string();
     if let Err(e) = snap.write_to_file(out) {
@@ -203,6 +197,7 @@ fn print_trace_line(r: &RoundReport) {
 
 /// `experiments run-recoverable <name> --rounds N [--every K] [--keep M]
 /// [--checkpoints BASE] [--kill-at R] [--trace]`.
+#[allow(clippy::too_many_arguments)]
 fn cmd_run_recoverable(
     name: &str,
     rounds: u64,
@@ -211,6 +206,7 @@ fn cmd_run_recoverable(
     checkpoints: Option<&str>,
     kill_at: Option<u64>,
     trace: bool,
+    threads: Threads,
 ) -> ExitCode {
     let Some(entry) = popstab_bench::scenario::find(name) else {
         eprintln!("unknown scenario `{name}`; see `experiments --list`");
@@ -242,8 +238,7 @@ fn cmd_run_recoverable(
             }
             let scenario = hook();
             match popstab_sim::Engine::restore(scenario.protocol, scenario.adversary, &snap) {
-                Ok(mut engine) => {
-                    engine.set_columnar(popstab_sim::batch::columnar_default());
+                Ok(engine) => {
                     eprintln!(
                         "resuming `{name}` from `{}` at round {}",
                         path.display(),
@@ -264,7 +259,7 @@ fn cmd_run_recoverable(
         return ExitCode::SUCCESS;
     }
     let mut checkpoint = Checkpoint::every(every, &base).keep(keep).label(name);
-    let spec = RunSpec::rounds(rounds - from).threads(Threads::from_env());
+    let spec = RunSpec::rounds(rounds - from).threads(threads);
     // The checkpoint observer runs *first* in the tee: when `--kill-at`
     // fires mid-round-callback, the round's checkpoint (if due) is already
     // on disk, exactly as it would be in a real crash after a write.
@@ -300,7 +295,7 @@ fn cmd_run_recoverable(
 }
 
 /// `experiments resume FILE [--rounds N] [--trace]`.
-fn cmd_resume(file: &str, rounds: u64, trace: bool) -> ExitCode {
+fn cmd_resume(file: &str, rounds: u64, trace: bool, threads: Threads) -> ExitCode {
     let snap = match Snapshot::read_from_file(file) {
         Ok(snap) => snap,
         Err(e) => {
@@ -328,8 +323,7 @@ fn cmd_resume(file: &str, rounds: u64, trace: bool) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-    engine.set_columnar(popstab_sim::batch::columnar_default());
-    let spec = RunSpec::rounds(rounds).threads(Threads::from_env());
+    let spec = RunSpec::rounds(rounds).threads(threads);
     if trace {
         // Golden-trace format, one line per executed round, nothing else:
         // the CI snapshot-determinism leg byte-diffs this output.
@@ -351,39 +345,27 @@ fn cmd_resume(file: &str, rounds: u64, trace: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses and applies a `--jobs` value; `None` on anything non-positive.
-fn apply_jobs(value: Option<&str>) -> Option<()> {
-    let n = value?.parse::<usize>().ok().filter(|&n| n > 0)?;
-    popstab_sim::batch::set_default_jobs(n);
-    Some(())
-}
-
-/// Parses and applies a `--round-threads` value; `None` on anything
+/// Parses a `--jobs`/`--round-threads` value; `None` on anything
 /// non-positive.
-fn apply_round_threads(value: Option<&str>) -> Option<()> {
-    let n = value?.parse::<usize>().ok().filter(|&n| n > 0)?;
-    popstab_sim::batch::set_round_threads(n);
-    Some(())
+fn parse_workers(value: Option<&str>) -> Option<usize> {
+    value?.parse::<usize>().ok().filter(|&n| n > 0)
 }
 
-/// Parses and applies a `--n` scale list for the bench experiment; `None`
-/// unless every comma-separated entry is a power of four ≥ 1024 (the
-/// targets [`Params::for_target`](popstab_core::params::Params) accepts).
-fn apply_bench_ns(value: Option<&str>) -> Option<()> {
+/// Parses a `--n` scale list for the bench experiment; `None` unless every
+/// comma-separated entry is a power of four ≥ 1024 (the targets
+/// [`Params::for_target`](popstab_core::params::Params) accepts).
+fn parse_bench_ns(value: Option<&str>) -> Option<Vec<u64>> {
     let ns: Vec<u64> = value?
         .split(',')
         .map(|part| part.trim().parse::<u64>().ok())
         .collect::<Option<_>>()?;
-    if ns.is_empty() || !ns.iter().all(|&n| experiments::bench::valid_target(n)) {
-        return None;
-    }
-    experiments::bench::set_n_override(ns);
-    Some(())
+    (!ns.is_empty() && ns.iter().all(|&n| experiments::bench::valid_target(n))).then_some(ns)
 }
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut jobs_given = false;
+    let mut opts = Options::default();
+    let mut jobs: Option<usize> = None;
+    let mut round_threads: Option<usize> = None;
     let mut at: u64 = 0;
     let mut out: Option<String> = None;
     let mut rounds: u64 = 0;
@@ -393,12 +375,20 @@ fn main() -> ExitCode {
     let mut checkpoints: Option<String> = None;
     let mut kill_at: Option<u64> = None;
     let mut selected: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    // `--jobs=N`, `--round-threads=N` and `--n=LIST` are the flag and its
+    // value in one word: split them so one match arm parses both spellings.
+    let mut args = std::env::args()
+        .skip(1)
+        .flat_map(|arg| match arg.split_once('=') {
+            Some((flag @ ("--jobs" | "--round-threads" | "--n"), value)) => {
+                vec![flag.to_string(), value.to_string()]
+            }
+            _ => vec![arg],
+        });
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" | "-q" => quick = true,
+            "--quick" | "-q" => opts.quick = true,
             "--trace" => trace = true,
-            "--columnar" => popstab_sim::batch::set_columnar_default(true),
             "--at" | "--rounds" => {
                 let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
                     eprintln!("{arg} needs a non-negative integer");
@@ -444,68 +434,62 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--jobs" | "-j" => {
-                let value = args.next();
-                if apply_jobs(value.as_deref()).is_none() {
+                jobs = parse_workers(args.next().as_deref());
+                if jobs.is_none() {
                     eprintln!("--jobs needs a positive integer");
                     return ExitCode::FAILURE;
                 }
-                jobs_given = true;
             }
             "--round-threads" => {
-                let value = args.next();
-                if apply_round_threads(value.as_deref()).is_none() {
+                round_threads = parse_workers(args.next().as_deref());
+                if round_threads.is_none() {
                     eprintln!("--round-threads needs a positive integer");
                     return ExitCode::FAILURE;
                 }
             }
             "--n" => {
-                let value = args.next();
-                if apply_bench_ns(value.as_deref()).is_none() {
+                opts.bench_ns = parse_bench_ns(args.next().as_deref());
+                if opts.bench_ns.is_none() {
                     eprintln!("--n needs a comma-separated list of powers of four >= 1024");
                     return ExitCode::FAILURE;
                 }
             }
-            other => {
-                if let Some(value) = other.strip_prefix("--jobs=") {
-                    if apply_jobs(Some(value)).is_none() {
-                        eprintln!("--jobs needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                    jobs_given = true;
-                } else if let Some(value) = other.strip_prefix("--round-threads=") {
-                    if apply_round_threads(Some(value)).is_none() {
-                        eprintln!("--round-threads needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                } else if let Some(value) = other.strip_prefix("--n=") {
-                    if apply_bench_ns(Some(value)).is_none() {
-                        eprintln!("--n needs a comma-separated list of powers of four >= 1024");
-                        return ExitCode::FAILURE;
-                    }
-                } else {
-                    selected.push(other.to_string());
-                }
-            }
+            other => selected.push(other.to_string()),
         }
     }
     if selected.is_empty() {
         usage();
         return ExitCode::FAILURE;
     }
+    // The two parallelism axes multiply: every batch job spins up its own
+    // intra-round pool. Unless the batch width was pinned explicitly, shrink
+    // it so jobs × round-threads ≈ the machine (oversubscribing CPU-bound
+    // threads only adds contention; results are identical either way).
+    let rt = round_threads.unwrap_or(1);
+    opts.runner = match jobs {
+        Some(n) => BatchRunner::new(n),
+        None => BatchRunner::new(BatchRunner::default().workers() / rt),
+    };
+    opts.threads = if rt > 1 {
+        Threads::Sharded(rt)
+    } else {
+        Threads::Serial
+    };
+    opts.round_threads_given = round_threads.is_some();
     // `snapshot <name>` / `resume <file>` drive the checkpoint tooling.
     if selected[0] == "snapshot" {
         let Some(name) = selected.get(1) else {
             eprintln!("snapshot needs a scenario name; see `experiments --list`");
             return ExitCode::FAILURE;
         };
-        return cmd_snapshot(name, at, out.as_deref());
+        return cmd_snapshot(name, at, out.as_deref(), opts.threads);
     }
     if selected[0] == "resume" {
         let Some(file) = selected.get(1) else {
             eprintln!("resume needs a snapshot file path");
             return ExitCode::FAILURE;
         };
-        return cmd_resume(file, rounds, trace);
+        return cmd_resume(file, rounds, trace, opts.threads);
     }
     if selected[0] == "run-recoverable" {
         let Some(name) = selected.get(1) else {
@@ -520,6 +504,7 @@ fn main() -> ExitCode {
             checkpoints.as_deref(),
             kill_at,
             trace,
+            opts.threads,
         );
     }
     // `scenario <name>...` runs registry entries instead of experiment ids.
@@ -534,20 +519,9 @@ fn main() -> ExitCode {
                 eprintln!("unknown scenario `{name}`; see `experiments --list`");
                 return ExitCode::FAILURE;
             };
-            (entry.run)(quick);
+            (entry.run)(&opts);
         }
         return ExitCode::SUCCESS;
-    }
-    // The two parallelism axes multiply: every batch job spins up its own
-    // intra-round pool. Unless the batch width was pinned explicitly, shrink
-    // it so jobs × round-threads ≈ the machine (oversubscribing CPU-bound
-    // threads only adds contention; results are identical either way).
-    let round_threads = popstab_sim::batch::round_threads();
-    if round_threads > 1 && !jobs_given && std::env::var_os("POPSTAB_JOBS").is_none() {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        popstab_sim::batch::set_default_jobs((avail / round_threads).max(1));
     }
     if selected.iter().any(|s| s == "all") {
         // `bench` overwrites the committed BENCH_engine.json with
@@ -567,7 +541,7 @@ fn main() -> ExitCode {
         };
         println!("================================================================");
         let start = Instant::now();
-        runner(quick);
+        runner(&opts);
         println!(
             "[{want} finished in {:.1}s]\n",
             start.elapsed().as_secs_f64()

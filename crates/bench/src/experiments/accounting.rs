@@ -8,8 +8,10 @@ use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::accounting::{log2_cubed, log2_squared, resources};
 use popstab_core::params::Params;
 
+use crate::Options;
+
 /// Runs the experiment and prints its tables.
-pub fn run(_quick: bool) {
+pub fn run(_opts: &Options) {
     println!("T7: resource accounting (paper: ω(log²N) states, Θ(log log N) memory bits,");
     println!("    3-bit messages; default T_inner = log²N gives Θ(log³N) states)\n");
     let mut table = Table::new([

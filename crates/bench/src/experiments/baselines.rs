@@ -12,17 +12,18 @@
 //!   budgets).
 //!
 //! Every table row is an independent simulation, so the rows run as one
-//! [`BatchRunner`] batch (the `--jobs` flag of the `experiments` binary
-//! controls the worker count; results are identical for any value).
+//! [`BatchRunner`](popstab_sim::BatchRunner) batch (the `--jobs` flag of
+//! the `experiments` binary controls the worker count; results are
+//! identical for any value).
 
 use popstab_analysis::report::Table;
 use popstab_baselines::attempt1::{SignalFlooder, SignalSuppressor};
 use popstab_baselines::highmem::IdFlooder;
 use popstab_baselines::{Attempt1, Attempt2, Empty, HighMemory, ObliviousDeleter};
 use popstab_core::params::Params;
-use popstab_sim::{Adversary, BatchRunner, Engine, NoOpAdversary, Protocol, RunSpec, SimConfig};
+use popstab_sim::{Adversary, Engine, NoOpAdversary, Protocol, RunSpec, SimConfig};
 
-use crate::{run_protocol, JobSpec};
+use crate::{run_protocol, JobSpec, Options};
 
 const N: u64 = 1024;
 
@@ -59,8 +60,8 @@ where
 }
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
-    let horizon: u64 = if quick { 8_000 } else { 25_000 };
+pub fn run(opts: &Options) {
+    let horizon: u64 = if opts.quick { 8_000 } else { 25_000 };
     println!("F4/T8: baseline comparison at N = {N}, horizon {horizon} rounds\n");
     let mut table = Table::new([
         "protocol",
@@ -185,7 +186,7 @@ pub fn run(quick: bool) {
     // High-memory unique-ID protocol (T8). Gossiping whole ID sets is
     // quadratic in the population, so this baseline runs at a smaller scale.
     let n_hm: u64 = 256;
-    let hm_horizon = if quick { 1_500 } else { 4_000 };
+    let hm_horizon = if opts.quick { 1_500 } else { 4_000 };
     fn run_hm<A: Adversary<popstab_baselines::highmem::HmState>>(
         n_hm: u64,
         adv: A,
@@ -246,12 +247,13 @@ pub fn run(quick: bool) {
     // The paper's protocol in the same arenas.
     let params = Params::for_target(N).unwrap();
     let epochs = horizon / u64::from(params.epoch_len());
+    let threads = opts.threads;
     let params_a = params.clone();
     cases.push(Case {
         proto: "paper protocol",
         adv: "none",
         sim: Box::new(move || {
-            let run = run_protocol(&params_a, NoOpAdversary, JobSpec::new(11, epochs));
+            let run = run_protocol(&params_a, NoOpAdversary, JobSpec::new(11, epochs), threads);
             let (lo, hi) = run.population_range().unwrap();
             (lo, hi, run.population(), false)
         }),
@@ -268,14 +270,14 @@ pub fn run(quick: bool) {
             );
             let mut spec = JobSpec::new(12, epochs);
             spec.budget = 1;
-            let run = run_protocol(&params_b, adv, spec);
+            let run = run_protocol(&params_b, adv, spec, threads);
             let (lo, hi) = run.population_range().unwrap();
             (lo, hi, run.population(), false)
         }),
         verdict: Box::new(|_| "holds"),
     });
 
-    let rows = BatchRunner::from_env().run(cases, |_, case| {
+    let rows = opts.runner.run(cases, |_, case| {
         let row = (case.sim)();
         (case.proto, case.adv, row, (case.verdict)(row))
     });

@@ -4,8 +4,8 @@
 //! near equilibrium at five scales (the powers of four bracketing 1k, 10k
 //! and 100k agents, plus the large-N pair `2^20` and `2^22` that the
 //! columnar store exists for), in several configurations. Every engine
-//! opts into the columnar (struct-of-arrays) step path — the shipping
-//! fast-path configuration, bit-identical to the scalar loop — so the
+//! runs the columnar (struct-of-arrays) step path the protocol installs
+//! by default — bit-identical to the scalar loop — so the
 //! numbers here track what the resident-column kernels actually deliver,
 //! and `mem_bytes_per_agent` reports the resident footprint that layout
 //! buys. `--n <list>` (comma-separated targets, powers of four ≥ 1024)
@@ -39,13 +39,14 @@
 //! baseline exists, the run prints one `baseline check skipped:` line
 //! naming the reason instead of passing silently.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
 use popstab_sim::batch::job_seed;
-use popstab_sim::{BatchRunner, Engine, MetricsRecorder, RecordStats, RunSpec, SimConfig};
+use popstab_sim::{BatchRunner, Engine, MetricsRecorder, RecordStats, RunSpec, SimConfig, Threads};
+
+use crate::Options;
 
 /// One scale's measurements.
 struct Workload {
@@ -67,15 +68,6 @@ struct Workload {
     par_rps_per_core: f64,
 }
 
-/// `--n` override for the scale plan, set once by the CLI before `run`.
-static N_OVERRIDE: OnceLock<Vec<u64>> = OnceLock::new();
-
-/// Replaces the default scale plan with `ns` (validated by the caller:
-/// powers of four ≥ 1024). First call wins; later calls are ignored.
-pub fn set_n_override(ns: Vec<u64>) {
-    let _ = N_OVERRIDE.set(ns);
-}
-
 /// Whether `n` is a scale [`Params::for_target`] accepts — a power of
 /// four no smaller than the paper's minimum population.
 pub fn valid_target(n: u64) -> bool {
@@ -85,11 +77,7 @@ pub fn valid_target(n: u64) -> bool {
 fn engine_at(n: u64, seed: u64) -> Engine<PopulationStability> {
     let params = Params::for_target(n).expect("bench target is a power of four");
     let cfg = SimConfig::builder().seed(seed).target(n).build().unwrap();
-    let mut engine = Engine::with_population(PopulationStability::new(params), cfg, n as usize);
-    // The columnar store is the configuration these numbers describe; the
-    // trajectory is bit-identical to the scalar loop either way.
-    engine.set_columnar(true);
-    engine
+    Engine::with_population(PopulationStability::new(params), cfg, n as usize)
 }
 
 fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32) -> Workload {
@@ -210,18 +198,22 @@ fn committed_single_fast_rps(n: u64, quick: bool, host_cores: usize) -> Result<f
 }
 
 /// Runs the benchmark, prints the table, and writes `BENCH_engine.json`.
-pub fn run(quick: bool) {
+pub fn run(opts: &Options) {
+    let quick = opts.quick;
     // Recorded alongside the numbers so trajectory comparisons across PRs
     // and hosts are interpretable: rps under different stream versions or
     // core counts are different experiments, not regressions/improvements.
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let workers = popstab_sim::batch::default_jobs();
-    // `--round-threads` override if given (including an explicit 1, which
-    // measures the parallel machinery's serial overhead), else every core
-    // the host offers.
-    let round_threads = popstab_sim::batch::round_threads_override().unwrap_or(workers);
+    let workers = opts.runner.workers();
+    // `--round-threads` if given (including an explicit 1, which measures
+    // the parallel machinery's serial overhead), else one per batch worker.
+    let round_threads = match (opts.round_threads_given, opts.threads) {
+        (false, _) => workers,
+        (true, Threads::Serial) => 1,
+        (true, Threads::Sharded(n)) => n,
+    };
     let scale = if quick { 10 } else { 1 };
     let reps = if quick { 1 } else { 5 };
     // (target N, measured rounds): horizons sized so one cell is a few
@@ -231,7 +223,7 @@ pub fn run(quick: bool) {
     // 1600, 65536 → 400) and extends it to the large-N pair, where the
     // floor keeps a cell at a dozen-plus rounds rather than seconds each.
     let default_ns: &[u64] = &[1024, 16384, 65536, 1 << 20, 1 << 22];
-    let ns = N_OVERRIDE.get().map_or(default_ns, Vec::as_slice).to_vec();
+    let ns = opts.bench_ns.as_deref().unwrap_or(default_ns);
     let plan: Vec<(u64, u64)> = ns
         .iter()
         .map(|&n| (n, ((400 * 65536) / n).clamp(12, 6000) / scale))

@@ -6,14 +6,17 @@
 //! the paper's asymptotic/CLT linear model and this repository's exact
 //! finite-N Poisson model (which is the one that matches at these scales).
 
-use popstab_analysis::drift::measure_drift;
+use popstab_analysis::drift::measure_drift_with;
 use popstab_analysis::equilibrium::{exact_epoch_drift, expected_epoch_drift};
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
+use popstab_sim::NoOpAdversary;
+
+use crate::Options;
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
-    let configs: &[(u64, u32)] = if quick {
+pub fn run(opts: &Options) {
+    let configs: &[(u64, u32)] = if opts.quick {
         &[(1024, 24)]
     } else {
         &[(1024, 64), (4096, 32)]
@@ -34,7 +37,17 @@ pub fn run(quick: bool) {
         ]);
         for (i, f) in fractions.iter().enumerate() {
             let m0 = (f * n as f64).round() as usize;
-            let obs = measure_drift(&params, m0, 1.0, trials, 4242 + i as u64 * 97);
+            let seed = 4242 + i as u64 * 97;
+            let obs = measure_drift_with(
+                &opts.runner,
+                &params,
+                m0,
+                1.0,
+                trials,
+                seed,
+                || NoOpAdversary,
+                0,
+            );
             table.row([
                 fmt_f64(*f, 2),
                 m0.to_string(),

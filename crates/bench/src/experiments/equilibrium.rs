@@ -7,12 +7,11 @@
 use popstab_analysis::equilibrium::{equilibrium_population, exact_equilibrium};
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
-use popstab_sim::BatchRunner;
 
-use crate::{run_clean, JobSpec};
+use crate::{run_clean, JobSpec, Options};
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
+pub fn run(opts: &Options) {
     println!("F7b: equilibrium population — models vs long-run simulation\n");
     let mut table = Table::new([
         "N",
@@ -22,16 +21,16 @@ pub fn run(quick: bool) {
         "measured (time-avg)",
         "epochs",
     ]);
-    let measured_ns: &[u64] = if quick { &[1024] } else { &[1024, 4096] };
-    let sim_epochs: u64 = if quick { 80 } else { 250 };
+    let measured_ns: &[u64] = if opts.quick { &[1024] } else { &[1024, 4096] };
+    let sim_epochs: u64 = if opts.quick { 80 } else { 250 };
     // The long-run simulations (one per measured N) run as one batch on the
     // epoch-end recording stride; the model columns are closed-form.
-    let measured = BatchRunner::from_env().run(measured_ns.to_vec(), |_, n| {
+    let measured = opts.runner.run(measured_ns.to_vec(), |_, n| {
         let params = Params::for_target(n).unwrap();
         let m_eq = exact_equilibrium(&params, 1.0);
         let mut spec = JobSpec::new(31, sim_epochs).record_epoch_ends(&params);
         spec.initial = Some(m_eq as usize);
-        let run = run_clean(&params, spec);
+        let run = run_clean(&params, spec, opts.threads);
         let epoch = u64::from(params.epoch_len());
         let pops = run.trajectory().epoch_end_populations(epoch);
         (

@@ -12,14 +12,13 @@ use popstab_adversary::{RandomDeleter, Throttle};
 use popstab_analysis::equilibrium::{exact_equilibrium, max_exact_drift};
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
-use popstab_sim::BatchRunner;
 
-use crate::{run_protocol, JobSpec};
+use crate::{run_protocol, JobSpec, Options};
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
-    let ns: &[u64] = if quick { &[1024] } else { &[1024, 4096] };
-    let epochs: u64 = if quick { 60 } else { 150 };
+pub fn run(opts: &Options) {
+    let ns: &[u64] = if opts.quick { &[1024] } else { &[1024, 4096] };
+    let epochs: u64 = if opts.quick { 60 } else { 150 };
     let budgets: &[usize] = &[0, 1, 2, 4, 8, 16, 32, 64];
 
     println!("F3: per-epoch deletion budget sweep ({epochs} epochs; collapse = final < 0.3·m°)\n");
@@ -31,12 +30,12 @@ pub fn run(quick: bool) {
         .iter()
         .flat_map(|&n| budgets.iter().map(move |&k| (n, k)))
         .collect();
-    let finals = BatchRunner::from_env().run(grid, |_, (n, k)| {
+    let finals = opts.runner.run(grid, |_, (n, k)| {
         let params = Params::for_target(n).unwrap();
         let adv = Throttle::per_epoch(RandomDeleter::new(k), params.epoch_len());
         let mut spec = JobSpec::new(777, epochs).record_epoch_ends(&params);
         spec.budget = k;
-        run_protocol(&params, adv, spec).population()
+        run_protocol(&params, adv, spec, opts.threads).population()
     });
     let mut finals = finals.into_iter();
     for &n in ns {

@@ -17,7 +17,7 @@ use popstab_core::params::Params;
 use popstab_core::state::Color;
 use popstab_sim::NoOpAdversary;
 
-use crate::{run_protocol, JobSpec};
+use crate::{run_protocol, JobSpec, Options};
 
 /// A named, deferred protocol run producing its recorded metrics.
 type Scenario = (
@@ -26,11 +26,12 @@ type Scenario = (
 );
 
 /// Runs the experiment and prints its tables.
-pub fn run(quick: bool) {
+pub fn run(opts: &Options) {
     let n: u64 = 1024;
     let params = Params::for_target(n).unwrap();
-    let epochs: u64 = if quick { 8 } else { 20 };
+    let epochs: u64 = if opts.quick { 8 } else { 20 };
     let k = 4;
+    let threads = opts.threads;
 
     println!("T2-T6: bookkeeping lemmas at N = {n} over {epochs} epochs (budget {k}/epoch)\n");
 
@@ -39,7 +40,9 @@ pub fn run(quick: bool) {
             "no adversary",
             Box::new({
                 let params = params.clone();
-                move || run_protocol(&params, NoOpAdversary, JobSpec::new(5, epochs)).metrics
+                move || {
+                    run_protocol(&params, NoOpAdversary, JobSpec::new(5, epochs), threads).metrics
+                }
             }),
         ),
         (
@@ -53,7 +56,7 @@ pub fn run(quick: bool) {
                     );
                     let mut spec = JobSpec::new(6, epochs);
                     spec.budget = k;
-                    run_protocol(&params, adv, spec).metrics
+                    run_protocol(&params, adv, spec, threads).metrics
                 }
             }),
         ),
@@ -68,7 +71,7 @@ pub fn run(quick: bool) {
                     );
                     let mut spec = JobSpec::new(7, epochs);
                     spec.budget = k;
-                    run_protocol(&params, adv, spec).metrics
+                    run_protocol(&params, adv, spec, threads).metrics
                 }
             }),
         ),
@@ -99,8 +102,8 @@ pub fn run(quick: bool) {
     // evaluation round. One batch job per seed, on the recording-free fast
     // path (only the end-of-recruitment state is inspected).
     let epoch = u64::from(params.epoch_len());
-    let trials = if quick { 4 } else { 10 };
-    let counts = popstab_sim::BatchRunner::from_env().run((0..trials).collect(), |_, seed: u64| {
+    let trials = if opts.quick { 4 } else { 10 };
+    let counts = opts.runner.run((0..trials).collect(), |_, seed: u64| {
         let cfg = popstab_sim::SimConfig::builder()
             .seed(900 + seed)
             .target(n)

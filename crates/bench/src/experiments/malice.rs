@@ -9,14 +9,16 @@ use popstab_analysis::report::{fmt_pass, Table};
 use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
 use popstab_extensions::{malicious_count, MaliciousInserter, WithMalice};
-use popstab_sim::{Engine, MatchingModel, RunSpec, SimConfig, Threads};
+use popstab_sim::{Engine, MatchingModel, RunSpec, SimConfig};
+
+use crate::Options;
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
+pub fn run(opts: &Options) {
     let n: u64 = 1024;
     let params = Params::for_target(n).unwrap();
     let epoch = u64::from(params.epoch_len());
-    let epochs: u64 = if quick { 3 } else { 8 };
+    let epochs: u64 = if opts.quick { 3 } else { 8 };
 
     println!("F8: malicious agents in the extended model at N = {n}, {epochs} epochs,");
     println!("    1 malicious insertion/round, replication period ρ, matching fraction γ.");
@@ -58,7 +60,7 @@ pub fn run(quick: bool) {
             .unwrap();
         let mut engine = Engine::with_adversary(proto, adv, cfg, n as usize);
         engine.run(
-            RunSpec::rounds(epochs * epoch).threads(Threads::from_env()),
+            RunSpec::rounds(epochs * epoch).threads(opts.threads),
             &mut (),
         );
         let mal = malicious_count(engine.agents());

@@ -10,17 +10,17 @@ use popstab_analysis::equilibrium::exact_equilibrium;
 use popstab_analysis::report::{fmt_f64, fmt_pass, Table};
 use popstab_core::params::Params;
 
-use crate::{run_clean, JobSpec};
+use crate::{run_clean, JobSpec, Options};
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
-    let ns: &[u64] = if quick {
+pub fn run(opts: &Options) {
+    let ns: &[u64] = if opts.quick {
         &[1024, 4096]
     } else {
         &[1024, 4096, 16384]
     };
-    let seeds: u64 = if quick { 2 } else { 4 };
-    let epochs: u64 = if quick { 15 } else { 40 };
+    let seeds: u64 = if opts.quick { 2 } else { 4 };
+    let epochs: u64 = if opts.quick { 15 } else { 40 };
 
     println!("T1: stability with no adversary ({epochs} epochs, {seeds} seeds)");
     println!("    band: [0.6, 1.4]·m° where m° is the exact finite-N equilibrium\n");
@@ -42,12 +42,12 @@ pub fn run(quick: bool) {
         .iter()
         .flat_map(|&n| (0..seeds).map(move |seed| (n, seed)))
         .collect();
-    let rows = popstab_sim::BatchRunner::from_env().run(grid, |_, (n, seed)| {
+    let rows = opts.runner.run(grid, |_, (n, seed)| {
         let params = Params::for_target(n).unwrap();
         let epoch = u64::from(params.epoch_len());
         let m_star = n as f64 - 8.0 * params.sqrt_n() as f64;
         let m_eq = exact_equilibrium(&params, 1.0);
-        let run = run_clean(&params, JobSpec::new(seed * 1031 + 7, epochs));
+        let run = run_clean(&params, JobSpec::new(seed * 1031 + 7, epochs), opts.threads);
         let (lo, hi) = run.population_range().unwrap();
         let max_dev = run.trajectory().max_epoch_deviation(epoch).unwrap_or(0);
         let in_band = lo as f64 >= 0.6 * m_eq && (hi as f64) <= 1.4 * m_eq.max(n as f64);

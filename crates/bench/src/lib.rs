@@ -26,9 +26,31 @@ use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
 use popstab_core::state::AgentState;
 use popstab_sim::{
-    Adversary, Engine, MatchingModel, MetricsRecorder, NoOpAdversary, RecordStats, RunOutcome,
-    RunSpec, Scenario, SimConfig, Threads, Trajectory,
+    Adversary, BatchRunner, Engine, MatchingModel, MetricsRecorder, NoOpAdversary, RecordStats,
+    RunOutcome, RunSpec, Scenario, SimConfig, Threads, Trajectory,
 };
+
+/// What one `experiments` invocation asked for, parsed once from the
+/// command line and handed by reference to every experiment and registry
+/// entry. By the determinism contracts the two worker counts never change
+/// a result, only how fast it arrives.
+#[derive(Debug, Clone, Default)]
+pub struct Options {
+    /// `--quick`: shorter horizons, same table shapes.
+    pub quick: bool,
+    /// The trial fan-out (`--jobs N`; default one worker per core).
+    pub runner: BatchRunner,
+    /// How every protocol round executes (`--round-threads N`; default
+    /// serial rounds).
+    pub threads: Threads,
+    /// Whether `--round-threads` was given at all, so the `bench`
+    /// experiment can tell an explicit `--round-threads 1` from the
+    /// default.
+    pub round_threads_given: bool,
+    /// `--n LIST`: the `bench` experiment's scale plan; `None` keeps its
+    /// default.
+    pub bench_ns: Option<Vec<u64>>,
+}
 
 /// Declarative description of one protocol experiment job.
 #[derive(Debug, Clone, Copy)]
@@ -116,12 +138,6 @@ impl<A: Adversary<AgentState>> ProtocolRun<A> {
     }
 }
 
-/// Builds and runs a protocol engine per `spec`, returning the run for
-/// inspection. Rounds execute serially unless an intra-round worker count
-/// was configured (`experiments --round-threads` /
-/// [`popstab_sim::batch::round_threads`]), in which case the step phase of
-/// every round is sharded — by the engine's determinism contract the
-/// results are bit-identical either way.
 /// Lowers a [`JobSpec`] onto the [`Scenario`] it describes without running
 /// it. [`run_protocol`] is `protocol_scenario` + drive-to-horizon; the
 /// snapshot/resume/fork tooling builds engines from the scenario directly
@@ -149,14 +165,19 @@ pub fn protocol_scenario<A: Adversary<AgentState>>(
     Scenario::new(PopulationStability::new(params.clone()), cfg, initial).against(adversary)
 }
 
+/// Builds and runs a protocol engine per `spec`, returning the run for
+/// inspection. Each round executes as `threads` says (the `experiments`
+/// binary passes its `--round-threads` choice); by the engine's
+/// determinism contract the results are bit-identical for every value.
 pub fn run_protocol<A: Adversary<AgentState>>(
     params: &Params,
     adversary: A,
     spec: JobSpec,
+    threads: Threads,
 ) -> ProtocolRun<A> {
     let epoch = u64::from(params.epoch_len());
     let scenario = protocol_scenario(params, adversary, &spec);
-    let run_spec = RunSpec::rounds(spec.epochs * epoch).threads(Threads::from_env());
+    let run_spec = RunSpec::rounds(spec.epochs * epoch).threads(threads);
     let mut metrics = MetricsRecorder::new();
     let (every, phase) = spec.metrics.unwrap_or((1, 0));
     let (engine, outcome) = scenario.run(
@@ -171,8 +192,8 @@ pub fn run_protocol<A: Adversary<AgentState>>(
 }
 
 /// Convenience: run with no adversary.
-pub fn run_clean(params: &Params, spec: JobSpec) -> ProtocolRun {
-    run_protocol(params, NoOpAdversary, spec)
+pub fn run_clean(params: &Params, spec: JobSpec, threads: Threads) -> ProtocolRun {
+    run_protocol(params, NoOpAdversary, spec, threads)
 }
 
 #[cfg(test)]
@@ -182,7 +203,7 @@ mod tests {
     #[test]
     fn run_clean_executes_requested_epochs() {
         let params = Params::for_target(1024).unwrap();
-        let run = run_clean(&params, JobSpec::new(1, 2));
+        let run = run_clean(&params, JobSpec::new(1, 2), Threads::Serial);
         assert_eq!(run.engine.round(), 2 * u64::from(params.epoch_len()));
         assert_eq!(run.outcome.executed, run.engine.round());
         assert!(run.population() > 0);
@@ -194,14 +215,15 @@ mod tests {
         let params = Params::for_target(1024).unwrap();
         let mut spec = JobSpec::new(2, 0);
         spec.initial = Some(300);
-        let run = run_clean(&params, spec);
+        let run = run_clean(&params, spec, Threads::Serial);
         assert_eq!(run.population(), 300);
     }
 
     #[test]
     fn epoch_end_stride_records_once_per_epoch() {
         let params = Params::for_target(1024).unwrap();
-        let run = run_clean(&params, JobSpec::new(3, 2).record_epoch_ends(&params));
+        let spec = JobSpec::new(3, 2).record_epoch_ends(&params);
+        let run = run_clean(&params, spec, Threads::Serial);
         assert_eq!(run.metrics.len(), 2);
     }
 }

@@ -20,11 +20,11 @@ use popstab_core::protocol::PopulationStability;
 use popstab_core::state::AgentState;
 use popstab_extensions::{malicious_count, MaliciousInserter, WithMalice};
 use popstab_sim::{
-    Adversary, BatchRunner, ForkBranch, MatchingModel, NoOpAdversary, OnRound, RoundReport,
-    RunSpec, Scenario, SimConfig, Threads,
+    Adversary, ForkBranch, MatchingModel, NoOpAdversary, OnRound, RoundReport, RunSpec, Scenario,
+    SimConfig,
 };
 
-use crate::{protocol_scenario, run_clean, run_protocol, JobSpec, ProtocolRun};
+use crate::{protocol_scenario, run_clean, run_protocol, JobSpec, Options, ProtocolRun};
 
 /// The scenario shape the snapshot/resume/fork tooling works over: the
 /// paper's protocol under any (boxed, thread-portable) adversary.
@@ -41,7 +41,7 @@ pub struct NamedScenario {
     /// One-line config summary for `--list`.
     pub summary: &'static str,
     /// Runs the scenario and prints its report (`quick` shortens horizons).
-    pub run: fn(bool),
+    pub run: fn(&Options),
     /// Rebuilds this entry's `(protocol, adversary, config)` for the
     /// snapshot tooling (`experiments snapshot`/`resume`, [`Scenario::fork`]).
     /// `None` for entries whose protocol the tooling does not cover
@@ -87,10 +87,13 @@ fn report<A: Adversary<AgentState>>(name: &str, run: &ProtocolRun<A>) {
     );
 }
 
-fn clean(n: u64, seed: u64, quick: bool, name: &str) {
+fn clean(n: u64, seed: u64, opts: &Options, name: &str) {
     let params = Params::for_target(n).unwrap();
-    let epochs = if quick { 8 } else { 20 };
-    report(name, &run_clean(&params, JobSpec::new(seed, epochs)));
+    let epochs = if opts.quick { 8 } else { 20 };
+    report(
+        name,
+        &run_clean(&params, JobSpec::new(seed, epochs), opts.threads),
+    );
 }
 
 /// Boxes an adversary into the [`SnapshotScenario`] shape.
@@ -172,14 +175,13 @@ fn clean_1048576_scenario() -> SnapshotScenario {
 /// epoch-based) horizon — an epoch at this scale is thousands of rounds,
 /// so the entry covers a short window that still exercises the matching,
 /// step, and apply phases at `N = 2^20`. The report comes from the
-/// per-round [`RoundReport`]s alone, so on the columnar path
-/// (`--columnar`) the population stays resident in the column store for
-/// the whole run.
-fn run_clean_1048576(quick: bool) {
-    let rounds = if quick { 40 } else { 120 };
+/// per-round [`RoundReport`]s alone, so the population stays resident in
+/// the column store for the whole run.
+fn run_clean_1048576(opts: &Options) {
+    let rounds = if opts.quick { 40 } else { 120 };
     let (mut lo, mut hi) = (usize::MAX, 0);
     let (engine, outcome) = clean_1048576_scenario().run(
-        RunSpec::rounds(rounds).threads(Threads::from_env()),
+        RunSpec::rounds(rounds).threads(opts.threads),
         &mut OnRound(|r: &RoundReport| {
             lo = lo.min(r.population_after);
             hi = hi.max(r.population_after);
@@ -207,11 +209,11 @@ fn fork_recovery_1024_scenario() -> SnapshotScenario {
 }
 
 /// `fork-recovery-1024`: shared shocked prefix, four divergent futures.
-fn run_fork_recovery_1024(quick: bool) {
+fn run_fork_recovery_1024(opts: &Options) {
     let params = Params::for_target(1024).unwrap();
     let epoch = u64::from(params.epoch_len());
     let fork_at = 3 * epoch;
-    let horizon = if quick { 4 * epoch } else { 10 * epoch };
+    let horizon = if opts.quick { 4 * epoch } else { 10 * epoch };
     type Boxed = Box<dyn Adversary<AgentState> + Send>;
     let labels = ["continue", "continue-salt1", "deleter-2", "second-shock"];
     let branches = vec![
@@ -228,15 +230,9 @@ fn run_fork_recovery_1024(quick: bool) {
             )) as Boxed,
         ),
     ];
-    let results = fork_recovery_1024_scenario().fork(
-        fork_at,
-        branches,
-        &BatchRunner::from_env(),
-        |_, mut engine| {
-            let outcome = engine.run(
-                RunSpec::rounds(horizon).threads(Threads::from_env()),
-                &mut (),
-            );
+    let results =
+        fork_recovery_1024_scenario().fork(fork_at, branches, &opts.runner, |_, mut engine| {
+            let outcome = engine.run(RunSpec::rounds(horizon).threads(opts.threads), &mut ());
             (
                 outcome.executed,
                 engine.population(),
@@ -244,8 +240,7 @@ fn run_fork_recovery_1024(quick: bool) {
                 outcome.max_population,
                 outcome.halted,
             )
-        },
-    );
+        });
     println!(
         "scenario fork-recovery-1024: prefix={fork_at} rounds, {} branches x {horizon} rounds",
         results.len()
@@ -268,7 +263,7 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "PopulationStability",
         adversary: "none",
         summary: "N=1024, full matching, 20 epochs",
-        run: |quick| clean(1024, 11, quick, "clean-1024"),
+        run: |opts| clean(1024, 11, opts, "clean-1024"),
         snapshot: Some(clean_1024_scenario),
     },
     NamedScenario {
@@ -276,7 +271,7 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "PopulationStability",
         adversary: "none",
         summary: "N=4096, full matching, 20 epochs",
-        run: |quick| clean(4096, 12, quick, "clean-4096"),
+        run: |opts| clean(4096, 12, opts, "clean-4096"),
         snapshot: Some(clean_4096_scenario),
     },
     NamedScenario {
@@ -284,12 +279,15 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "PopulationStability",
         adversary: "RandomDeleter 2/epoch",
         summary: "N=1024, per-epoch metered deletion",
-        run: |quick| {
+        run: |opts| {
             let params = Params::for_target(1024).unwrap();
             let adv = Throttle::per_epoch(RandomDeleter::new(2), params.epoch_len());
-            let mut spec = JobSpec::new(13, if quick { 10 } else { 25 });
+            let mut spec = JobSpec::new(13, if opts.quick { 10 } else { 25 });
             spec.budget = 2;
-            report("deleter-throttled-1024", &run_protocol(&params, adv, spec));
+            report(
+                "deleter-throttled-1024",
+                &run_protocol(&params, adv, spec, opts.threads),
+            );
         },
         snapshot: Some(deleter_throttled_1024_scenario),
     },
@@ -298,13 +296,17 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "PopulationStability",
         adversary: "Trauma injury -70%",
         summary: "N=4096, one-shot shock at epoch 2, healing horizon",
-        run: |quick| {
+        run: |opts| {
             let params = Params::for_target(4096).unwrap();
             let epoch = u64::from(params.epoch_len());
             let adv = Trauma::new(params.clone(), TraumaKind::Injury, 0.7, 2 * epoch);
-            let mut spec = JobSpec::new(14, if quick { 20 } else { 60 }).record_epoch_ends(&params);
+            let mut spec =
+                JobSpec::new(14, if opts.quick { 20 } else { 60 }).record_epoch_ends(&params);
             spec.budget = SimConfig::UNBOUNDED_BUDGET;
-            report("trauma-injury-4096", &run_protocol(&params, adv, spec));
+            report(
+                "trauma-injury-4096",
+                &run_protocol(&params, adv, spec, opts.threads),
+            );
         },
         snapshot: Some(trauma_injury_4096_scenario),
     },
@@ -313,11 +315,14 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "PopulationStability",
         adversary: "none",
         summary: "N=1024, ExactFraction(0.25) matching",
-        run: |quick| {
+        run: |opts| {
             let params = Params::for_target(1024).unwrap();
-            let mut spec = JobSpec::new(15, if quick { 10 } else { 25 });
+            let mut spec = JobSpec::new(15, if opts.quick { 10 } else { 25 });
             spec.gamma = 0.25;
-            report("gamma-quarter-1024", &run_clean(&params, spec));
+            report(
+                "gamma-quarter-1024",
+                &run_clean(&params, spec, opts.threads),
+            );
         },
         snapshot: Some(gamma_quarter_1024_scenario),
     },
@@ -326,11 +331,11 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "PopulationStability",
         adversary: "none",
         summary: "N=1024, RandomFraction{min 0.5} matching",
-        run: |quick| {
+        run: |opts| {
             let params = Params::for_target(1024).unwrap();
-            let mut spec = JobSpec::new(16, if quick { 10 } else { 25 });
+            let mut spec = JobSpec::new(16, if opts.quick { 10 } else { 25 });
             spec.matching = Some(MatchingModel::RandomFraction { min_gamma: 0.5 });
-            report("gamma-random-1024", &run_clean(&params, spec));
+            report("gamma-random-1024", &run_clean(&params, spec, opts.threads));
         },
         snapshot: Some(gamma_random_1024_scenario),
     },
@@ -339,15 +344,18 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "PopulationStability",
         adversary: "DesyncInserter 4/epoch",
         summary: "N=1024, Algorithm-7 purge under clock-skew insertion",
-        run: |quick| {
+        run: |opts| {
             let params = Params::for_target(1024).unwrap();
             let adv = Throttle::per_epoch(
                 DesyncInserter::new(params.clone(), 4, params.epoch_len() / 2),
                 params.epoch_len(),
             );
-            let mut spec = JobSpec::new(17, if quick { 8 } else { 16 });
+            let mut spec = JobSpec::new(17, if opts.quick { 8 } else { 16 });
             spec.budget = 4;
-            report("desync-purge-1024", &run_protocol(&params, adv, spec));
+            report(
+                "desync-purge-1024",
+                &run_protocol(&params, adv, spec, opts.threads),
+            );
         },
         snapshot: Some(desync_purge_1024_scenario),
     },
@@ -356,10 +364,10 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "Attempt1 (baseline)",
         adversary: "SignalFlooder 1/epoch",
         summary: "N=1024, the paper's predicted collapse",
-        run: |quick| {
+        run: |opts| {
             let proto = Attempt1::new(1024);
             let epoch = u64::from(proto.epoch_len());
-            let rounds = if quick { 40 * epoch } else { 150 * epoch };
+            let rounds = if opts.quick { 40 * epoch } else { 150 * epoch };
             let cfg = SimConfig::builder()
                 .seed(18)
                 .target(1024)
@@ -370,8 +378,7 @@ const REGISTRY: &[NamedScenario] = &[
             let (engine, outcome) = Scenario::new(proto, cfg, 1024)
                 .against(SignalFlooder::new(epoch as u32))
                 .run(
-                    RunSpec::until(rounds, |r| r.population_after < 512)
-                        .threads(Threads::from_env()),
+                    RunSpec::until(rounds, |r| r.population_after < 512).threads(opts.threads),
                     &mut (),
                 );
             println!(
@@ -390,10 +397,10 @@ const REGISTRY: &[NamedScenario] = &[
         protocol: "WithMalice (ext. model)",
         adversary: "MaliciousInserter rho=4",
         summary: "N=1024, contact-kill containment race",
-        run: |quick| {
+        run: |opts| {
             let params = Params::for_target(1024).unwrap();
             let epoch = u64::from(params.epoch_len());
-            let epochs = if quick { 3 } else { 8 };
+            let epochs = if opts.quick { 3 } else { 8 };
             let cfg = SimConfig::builder()
                 .seed(19)
                 .target(1024)
@@ -405,7 +412,7 @@ const REGISTRY: &[NamedScenario] = &[
             let (engine, outcome) = Scenario::new(proto, cfg, 1024)
                 .against(MaliciousInserter::new(1, 4))
                 .run(
-                    RunSpec::rounds(epochs * epoch).threads(Threads::from_env()),
+                    RunSpec::rounds(epochs * epoch).threads(opts.threads),
                     &mut (),
                 );
             println!(
@@ -453,7 +460,11 @@ mod tests {
 
     #[test]
     fn a_registry_scenario_runs_quickly() {
-        (find("gamma-quarter-1024").unwrap().run)(true);
+        let quick = Options {
+            quick: true,
+            ..Options::default()
+        };
+        (find("gamma-quarter-1024").unwrap().run)(&quick);
     }
 
     #[test]
@@ -497,6 +508,7 @@ mod tests {
 
     #[test]
     fn fork_recovery_identity_branch_matches_the_straight_line() {
+        use popstab_sim::BatchRunner;
         let hook = find("fork-recovery-1024").unwrap().snapshot.unwrap();
         let epoch = u64::from(Params::for_target(1024).unwrap().epoch_len());
         let (fork_at, tail) = (3 * epoch, 12);

@@ -37,10 +37,11 @@
 //! so batching cannot reorder them), and a `store` after any number of
 //! resident rounds must leave `Vec<P::State>`, the split/death lists, and
 //! therefore traces, snapshots (format v2) and golden fixtures
-//! bit-identical to the scalar path. Engines expose
-//! [`set_columnar`](crate::Engine::set_columnar) so equivalence tests can
-//! pin the two paths against each other; `tests/columnar_equivalence.rs`
-//! does exactly that over random `(seed, rounds, workers)`.
+//! bit-identical to the scalar path. Every engine whose protocol offers a
+//! stepper runs on it; a hidden `Engine::set_columnar(false)` hook forces
+//! the scalar loop so `tests/columnar_equivalence.rs` can pin the two
+//! paths against each other over random `(seed, rounds, workers)` and at
+//! `N = 2^20`.
 
 use std::fmt;
 

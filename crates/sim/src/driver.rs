@@ -78,10 +78,12 @@ pub enum Stop<F = NoStop> {
     },
 }
 
-/// How each round executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How each round executes. Always chosen by the caller through
+/// [`RunSpec::threads`]; the default is [`Threads::Serial`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Threads {
     /// The serial round loop.
+    #[default]
     Serial,
     /// Shard the `O(population)` phases of every round (step scan, matching
     /// construction) across a persistent pool of this many workers. The
@@ -92,22 +94,11 @@ pub enum Threads {
 }
 
 impl Threads {
-    /// The process-wide intra-round thread configuration: `Sharded(n)` when
-    /// `--round-threads`/`POPSTAB_ROUND_THREADS` asked for `n > 1` workers
-    /// (see [`crate::batch::round_threads`]), else `Serial`.
-    pub fn from_env() -> Threads {
-        match crate::batch::round_threads() {
-            0 | 1 => Threads::Serial,
-            n => Threads::Sharded(n),
-        }
-    }
-
     /// Collapses the degenerate sharded configurations: `Sharded(0)` and
     /// `Sharded(1)` describe the same trajectory as [`Threads::Serial`]
     /// (the determinism contract) but would execute through the sharded
     /// round body's reserve/merge machinery. [`Engine::run`](crate::Engine::run)
-    /// dispatches on the normalized value, matching
-    /// the normalization [`Threads::from_env`] applies to the environment.
+    /// dispatches on the normalized value.
     #[must_use]
     pub fn normalized(self) -> Threads {
         match self {
@@ -512,15 +503,10 @@ mod tests {
     fn degenerate_sharded_configs_normalize_to_serial() {
         // `Sharded(0 | 1)` describes a serial trajectory; `Engine::run`
         // dispatches on the normalized value, so these take the serial
-        // path — consistent with `Threads::from_env`'s treatment of
-        // `POPSTAB_ROUND_THREADS={0,1}`.
+        // path.
         assert_eq!(Threads::Sharded(0).normalized(), Threads::Serial);
         assert_eq!(Threads::Sharded(1).normalized(), Threads::Serial);
         assert_eq!(Threads::Serial.normalized(), Threads::Serial);
         assert_eq!(Threads::Sharded(4).normalized(), Threads::Sharded(4));
     }
-
-    // `Threads::from_env` is covered by `batch::tests::round_threads_default_is_serial`,
-    // the one test that owns the process-global round-thread override — a
-    // second test touching it here would race it across test threads.
 }

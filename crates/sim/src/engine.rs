@@ -233,12 +233,12 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         self.columnar.is_some()
     }
 
-    /// Enables or disables the columnar step path. It is on by default
-    /// whenever the protocol opts in ([`Protocol::columnar`]); disabling
-    /// forces the scalar [`Protocol::step`] loop. Both paths produce the
-    /// same trajectory by the determinism contract of [`crate::columns`] —
-    /// this switch exists so equivalence tests and benches can pin them
-    /// against each other.
+    /// Forces the scalar [`Protocol::step`] loop (`false`) or reinstalls the
+    /// protocol's columnar stepper (`true`, the construction default). Both
+    /// paths produce the same trajectory by the determinism contract of
+    /// [`crate::columns`]; this hook exists only so the equivalence tests
+    /// and the scalar-vs-columnar bench can pin them against each other.
+    #[doc(hidden)]
     pub fn set_columnar(&mut self, enabled: bool) {
         self.materialize();
         self.cols_valid = false;
@@ -909,8 +909,7 @@ where
     /// before dispatch: `Sharded(0)` and `Sharded(1)` describe a serial
     /// trajectory (the determinism contract makes them identical to
     /// [`Threads::Serial`]), so they take the serial path rather than
-    /// paying the sharded arm's per-round merge overhead — the same
-    /// normalization [`Threads::from_env`] applies.
+    /// paying the sharded arm's per-round merge overhead.
     pub fn run<F, O>(&mut self, spec: RunSpec<F>, obs: &mut O) -> RunOutcome
     where
         F: FnMut(&RoundReport) -> bool,

@@ -113,22 +113,21 @@
 //!
 //! # Memory layout & scaling
 //!
-//! The engine stores agents as a plain `Vec<AgentState>` and, on request,
-//! mirrors them into a struct-of-arrays column store tuned for
-//! million-agent populations:
+//! The engine stores agents as a plain `Vec<AgentState>` and, whenever the
+//! protocol offers a columnar stepper, mirrors them into a struct-of-arrays
+//! column store tuned for million-agent populations:
 //!
-//! * **Opt-in, never a semantic switch.**
-//!   [`Engine::set_columnar(true)`](prelude::Engine) swaps the step phase
-//!   onto [`core::columns::StabilityColumns`] — 1-bit and 1-byte columns
+//! * **On by default, never a semantic switch.** Every engine running
+//!   [`PopulationStability`](prelude::PopulationStability) steps on
+//!   [`core::columns::StabilityColumns`] — 1-bit and 1-byte columns
 //!   (alive/color/phase flags, packed wire bytes) evaluated 64 agents per
 //!   machine word with the lane-batched `_x8` [`CounterRng`](prelude::SimRng)
 //!   kernels. The columns stay *resident* across rounds on the fast path
 //!   (`()`/`OnRound` observers, no-op adversary) and transpose back to the
 //!   vector only when something actually reads it (a recording observer,
 //!   an acting adversary, [`Engine::snapshot`](prelude::Engine),
-//!   [`Engine::agents`](prelude::Engine)). On the CLI, `experiments
-//!   --columnar` (or `POPSTAB_COLUMNAR=1`) opts every scenario /
-//!   snapshot / resume engine in.
+//!   [`Engine::agents`](prelude::Engine)). There is no switch to turn it
+//!   on: scenarios, forks, restores and the CLI all get it.
 //! * **Bit-for-bit identical, by construction and by gate.** Batching can
 //!   never move a draw: every agent draw is already addressed by `(seed,
 //!   round, slot)`, so evaluating eight slots per call reads exactly the
@@ -137,9 +136,9 @@
 //!   untouched, old snapshots restore, and the golden fixtures pass
 //!   unchanged against the columnar path. `tests/columnar_equivalence.rs`
 //!   drives random `(seed, rounds, workers)` through both paths (clean and
-//!   adversarial) comparing traces, full agent vectors and snapshot bytes;
-//!   a CI leg repeats the diff at N = 2²⁰ and byte-compares mid-run
-//!   snapshots from both paths.
+//!   adversarial, plus one fixed case at N = 2²⁰), comparing traces, full
+//!   agent vectors and snapshot bytes; a hidden test-only hook forces the
+//!   scalar side.
 //! * **Byte budget.** At large N the resident footprint is the agent
 //!   vector plus a few dozen bits of column state per agent — ~46 B/agent
 //!   total at N = 2²⁰/2²² ([`Engine::approx_mem_bytes`](prelude::Engine)),
@@ -233,9 +232,9 @@
 //! block directly above, the offending line:
 //!
 //! ```text
-//! // lint:allow(taint-ambient-nondeterminism): worker-count knob only —
-//! // results are worker-count-invariant by the determinism contract.
-//! std::env::var("POPSTAB_JOBS")
+//! // lint:allow(taint-ambient-nondeterminism): wall time is only printed
+//! // as a footer, never fed into a trajectory.
+//! let start = Instant::now();
 //! ```
 //!
 //! (`lint:allow-file(<rule>): <justification>` within the first 20 lines

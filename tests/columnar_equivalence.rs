@@ -9,8 +9,11 @@
 //! snapshot/restore through the columnar path — comparing per-round
 //! reports, the **full agent state vector** (every field, every slot), the
 //! halt state, and the encoded snapshot bytes across random
-//! `(seed, rounds, workers)`. The golden fixtures pin the same trajectories
-//! against history; this suite pins the two live paths against each other.
+//! `(seed, rounds, workers)`, plus one fixed million-agent case. Every
+//! engine steps on the columnar path by default; the hidden
+//! `Engine::set_columnar(false)` hook forces the scalar side. The golden
+//! fixtures pin the same trajectories against history; this suite pins the
+//! two live paths against each other.
 
 use proptest::prelude::*;
 
@@ -23,14 +26,18 @@ use population_stability::sim::{
 
 const TARGET: u64 = 1024;
 
-fn clean_engine(seed: u64) -> Engine<PopulationStability> {
-    let params = Params::for_target(TARGET).unwrap();
+fn clean_scenario_at(target: u64, seed: u64) -> Scenario<PopulationStability> {
+    let params = Params::for_target(target).unwrap();
     let cfg = SimConfig::builder()
         .seed(seed)
-        .target(TARGET)
+        .target(target)
         .build()
         .unwrap();
-    Engine::with_population(PopulationStability::new(params), cfg, TARGET as usize)
+    Scenario::new(PopulationStability::new(params), cfg, target as usize)
+}
+
+fn clean_engine(seed: u64) -> Engine<PopulationStability> {
+    clean_scenario_at(TARGET, seed).engine()
 }
 
 fn trauma_engine(seed: u64) -> Engine<PopulationStability, Trauma> {
@@ -134,12 +141,23 @@ fn columnar_recorded_stats_match_scalar() {
 
 /// Snapshot mid-run on the columnar path, restore, continue columnar: the
 /// stitched trajectory equals both the uninterrupted columnar run and the
-/// scalar run — format v2 passes through the columns unchanged.
+/// scalar run — format v2 passes through the columns unchanged. Also pins
+/// the default: a scenario's engine, a fork branch and a restored engine
+/// all step on the columnar path without being asked to.
 #[test]
 fn columnar_snapshot_resume_round_trips() {
     let params = Params::for_target(TARGET).unwrap();
     let epoch = u64::from(params.epoch_len());
     let (r, total) = (epoch / 2 + 3, epoch + 11);
+
+    assert!(clean_scenario_at(TARGET, 7).engine().columnar_enabled());
+    let forked = clean_scenario_at(TARGET, 7).fork(
+        r,
+        vec![ForkBranch::new(0, NoOpAdversary)],
+        &BatchRunner::new(1),
+        |_, engine| engine.columnar_enabled(),
+    );
+    assert_eq!(forked, vec![true], "fork branches must step columnar");
 
     let scalar = fingerprint(clean_engine(7), false, total, Threads::Serial);
     let straight = fingerprint(clean_engine(7), true, total, Threads::Serial);
@@ -155,8 +173,57 @@ fn columnar_snapshot_resume_round_trips() {
     let snap = Snapshot::from_bytes(&prefix.snapshot().to_bytes()).expect("round-trip");
     let restored =
         Engine::restore(PopulationStability::new(params), NoOpAdversary, &snap).expect("restore");
+    assert!(restored.columnar_enabled(), "restores must step columnar");
     let tail = fingerprint(restored, true, total - r, Threads::Serial);
     assert_eq!(tail.1, straight.1, "resumed columnar agents diverged");
     assert_eq!(tail.2, straight.2);
     assert_eq!(tail.3, straight.3, "resumed snapshot bytes diverged");
+}
+
+/// The million-agent scale the columnar store exists for: at N = 2^20,
+/// serial and 4-way sharded rounds alike, the columnar path equals the
+/// scalar loop (report trace, agent vector, snapshot bytes), and a columnar
+/// run resumed from a mid-run snapshot reproduces the uninterrupted suffix.
+#[test]
+fn columnar_matches_scalar_and_resumes_at_a_million_agents() {
+    const N: u64 = 1 << 20;
+    const MID: u64 = 10;
+    const ROUNDS: u64 = 20;
+    let params = Params::for_target(N).unwrap();
+    for threads in [Threads::Serial, Threads::Sharded(4)] {
+        let engine = || clean_scenario_at(N, 21).engine();
+        let scalar = fingerprint(engine(), false, ROUNDS, threads);
+        let columnar = fingerprint(engine(), true, ROUNDS, threads);
+        assert_eq!(scalar.0, columnar.0, "report traces diverged ({threads:?})");
+        // `assert!` over `assert_eq!`: a failure must not print megabytes.
+        assert!(
+            scalar.1 == columnar.1,
+            "agent vectors diverged ({threads:?})"
+        );
+        assert!(
+            scalar.3 == columnar.3,
+            "snapshot bytes diverged ({threads:?})"
+        );
+
+        let mut prefix = engine();
+        prefix.run(RunSpec::rounds(MID).threads(threads), &mut ());
+        let snap = Snapshot::from_bytes(&prefix.snapshot().to_bytes()).expect("round-trip");
+        drop(prefix);
+        let restored = Engine::restore(
+            PopulationStability::new(params.clone()),
+            NoOpAdversary,
+            &snap,
+        )
+        .expect("restore");
+        let tail = fingerprint(restored, true, ROUNDS - MID, threads);
+        assert_eq!(
+            &columnar.0[MID as usize..],
+            &tail.0[..],
+            "resumed suffix diverged"
+        );
+        assert!(
+            tail.3 == columnar.3,
+            "resumed snapshot bytes diverged ({threads:?})"
+        );
+    }
 }

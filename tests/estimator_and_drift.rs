@@ -134,7 +134,7 @@ fn variance_estimator_tracks_population_changes() {
     // captures exactly the snapshots `push_trace` harvests.
     let params = Params::for_target(1024).unwrap();
     let epoch = u64::from(params.epoch_len());
-    let estimates = BatchRunner::from_env().run(vec![(700usize, 5u64), (1500, 6)], |_, job| {
+    let estimates = BatchRunner::default().run(vec![(700usize, 5u64), (1500, 6)], |_, job| {
         let (pop0, seed) = job;
         let cfg = SimConfig::builder()
             .seed(seed)
@@ -230,7 +230,7 @@ fn trauma_recovery_moves_toward_equilibrium() {
     let epoch = u64::from(params.epoch_len());
     let m_eq = exact_equilibrium(&params, 1.0);
     let seeds: Vec<u64> = vec![0, 1];
-    let outcomes = BatchRunner::from_env().run(seeds, |_, seed| {
+    let outcomes = BatchRunner::default().run(seeds, |_, seed| {
         let adv = Trauma::new(params.clone(), TraumaKind::Injury, 0.7, 2 * epoch);
         let cfg = SimConfig::builder()
             .seed(seed)
