@@ -1,16 +1,20 @@
 //! Criterion micro-benchmarks for the struct-of-arrays hot path: the
-//! lane-batched coin kernel against its scalar twin, and full engine
-//! rounds on the columnar step path (every engine's default) against the
-//! scalar `Protocol::step` loop, forced through the hidden
+//! lane-batched coin kernel against its scalar twin, full engine rounds on
+//! the columnar step path (every engine's default) against the scalar
+//! `Protocol::step` loop, forced through the hidden
 //! `Engine::set_columnar(false)` hook, at the two scales where the layout
-//! starts to matter.
+//! starts to matter, and one recorded round's stats taken from the
+//! resident columns against a transpose plus a vector scan.
+
+use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use popstab_core::columns::StabilityColumns;
 use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
 use popstab_sim::rng::{biased_coin, biased_coin_x8, round_key, slot_key_x8, slot_rng, LANES};
-use popstab_sim::{Engine, RunSpec, SimConfig};
+use popstab_sim::{ColumnarStep, Engine, RoundStats, RunSpec, SimConfig};
 
 const SLOTS: u64 = 65_536;
 
@@ -82,5 +86,40 @@ fn bench_step_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_biased_coin, bench_step_paths);
+fn bench_record_stats(c: &mut Criterion) {
+    // One recorded round's `RoundStats`, mid-epoch (leaders, recruiters,
+    // both colors live): `store` into a reused vector plus
+    // `RoundStats::observe_with` — what `RecordStats` paid per round while
+    // it read the agent slice — against `ColumnarStep::observe` over the
+    // resident columns. Throughput is agents observed.
+    let mut group = c.benchmark_group("record_stats");
+    group.sample_size(10);
+    for n in [4_096u64, 1 << 20] {
+        let mut engine = engine_at(n, true);
+        let params = engine.protocol().params().clone();
+        engine.run(RunSpec::rounds(u64::from(params.epoch_len()) / 2), &mut ());
+        let mut columns = StabilityColumns::new(params);
+        columns.load(engine.agents(), None);
+        let mut agents = Vec::new();
+        let mut counts = BTreeMap::new();
+        group.throughput(Throughput::Elements(n));
+        group.bench_with_input(BenchmarkId::new("store_observe", n), &n, |b, _| {
+            b.iter(|| {
+                columns.store(&mut agents);
+                RoundStats::observe_with(0, &agents, &mut counts)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("columns_observe", n), &n, |b, _| {
+            b.iter(|| columns.observe(0, &mut counts))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_biased_coin,
+    bench_step_paths,
+    bench_record_stats
+);
 criterion_main!(benches);

@@ -24,9 +24,11 @@
 //!
 //! The engine transposes `Vec<AgentState>` in ([`ColumnarStep::load`]) only
 //! when the vector was mutated behind the columns' back, and back out
-//! ([`ColumnarStep::store`]) only when an observer, adversary, or snapshot
-//! needs it — on the recording-free fast path each round streams ~17 bytes
-//! per agent instead of two passes over 24-byte structs.
+//! ([`ColumnarStep::store`]) only when an observer reading the agent slice,
+//! an adversary, or a snapshot needs it — recorded per-round stats come
+//! from [`ColumnarStep::observe`] (popcounts plus a run-length scan of the
+//! round column) instead. Without such a reader each round streams ~17
+//! bytes per agent instead of two passes over 24-byte structs.
 //!
 //! # Why this is bit-exact (no stream bump)
 //!
@@ -67,11 +69,14 @@
 //! race-free per element (a lineage element is either overwritten and in
 //! the hazard list, or read-only this round).
 
+use std::collections::BTreeMap;
+
 use popstab_sim::batch::ShardPool;
 use popstab_sim::columns::{
     tail_mask, word_shard_range, BitCol, ColPtr, ColumnarProtocol, ColumnarStep,
 };
 use popstab_sim::matching::UNMATCHED;
+use popstab_sim::metrics::{RoundStats, RoundTally};
 use popstab_sim::rng::{biased_coin_x8, slot_key_x8, slot_rng, LANES};
 use popstab_sim::Action;
 use rand::Rng;
@@ -579,6 +584,38 @@ impl ColumnarStep<AgentState> for StabilityColumns {
                 epoch_len: t,
             });
         }
+    }
+
+    /// Popcounts over the flag words (the tail word masked: swap-removes
+    /// leave dead bits above `len`) and a run-length scan of the `round`
+    /// column. `color0` is `active − color1` because inactive agents report
+    /// no color; `in_eval` is the tally of the evaluation round
+    /// `epoch_len − 1`, as `store` pins `epoch_len` uniformly.
+    fn observe(&self, round: u64, counts: &mut BTreeMap<u32, usize>) -> Option<RoundStats> {
+        let n = self.len;
+        let mut stats = RoundStats {
+            round,
+            population: n,
+            ..RoundStats::default()
+        };
+        let (aw, cw) = (self.active.words(), self.color.words());
+        let (rw, iw) = (self.recruiting.words(), self.is_leader.words());
+        for w in 0..n.div_ceil(64) {
+            let live = tail_mask(n - w * 64);
+            let active = aw[w] & live;
+            stats.active += active.count_ones() as usize;
+            stats.color1 += (active & cw[w]).count_ones() as usize;
+            stats.recruiting += (rw[w] & live).count_ones() as usize;
+            stats.leaders += (iw[w] & live).count_ones() as usize;
+        }
+        stats.color0 = stats.active - stats.color1;
+        let mut tally = RoundTally::new(counts);
+        for &r in &self.round {
+            tally.push(r);
+        }
+        (stats.majority_round, stats.wrong_round) = tally.finish();
+        stats.in_eval = counts.get(&self.params.eval_round()).copied().unwrap_or(0);
+        Some(stats)
     }
 
     fn len(&self) -> usize {
@@ -1349,6 +1386,11 @@ mod tests {
                 scalar.len(),
                 "population diverged at round {round}"
             );
+            assert_eq!(
+                stepper.observe(round, &mut BTreeMap::new()),
+                Some(RoundStats::observe(round, &scalar)),
+                "column-native stats diverged at round {round}"
+            );
         }
         let mut columnar = Vec::new();
         stepper.store(&mut columnar);
@@ -1378,6 +1420,70 @@ mod tests {
         for round in 0..6 {
             assert_step_phase_matches_scalar(&proto, &agents, 1234, round);
         }
+    }
+
+    /// `StabilityColumns::observe` against `RoundStats::observe` on the
+    /// stored vector, for `n` agents mixing every flag and, through
+    /// desynced clocks, several round values with a two-way tie for the
+    /// majority — before and after swap-removes leave dead bits in the
+    /// tail word.
+    fn assert_observe_matches_vector(n: usize) {
+        let params = Params::for_target(1024).unwrap();
+        let t = params.epoch_len();
+        let agents: Vec<AgentState> = (0..n)
+            .map(|i| {
+                let k = i as u32;
+                match k % 6 {
+                    // Rounds 2 and t − 1 tie (two lanes in six each), so
+                    // the majority must take the larger one.
+                    0 => AgentState::desynced(&params, 2),
+                    1 => AgentState::active_at(&params, t - 1, Color::One),
+                    2 => AgentState::leader(&params, Color::Zero, u64::from(k) | 1),
+                    3 => AgentState::active_at(&params, 2, Color::Zero),
+                    4 => AgentState::desynced(&params, t - 1),
+                    // Out of range on purpose: load normalizes it to 3 or 4.
+                    _ => AgentState::desynced(&params, t + 3 + k % 2),
+                }
+            })
+            .collect();
+        let mut stepper = StabilityColumns::new(params);
+        stepper.load(&agents, None);
+        let mut counts = BTreeMap::new();
+        let mut stored = Vec::new();
+        for deaths in [vec![], vec![0, 3], vec![1]] {
+            let deaths: Vec<usize> = deaths.into_iter().filter(|&d| d < stepper.len()).collect();
+            stepper.apply(&[], &deaths);
+            stepper.store(&mut stored);
+            let want = RoundStats::observe(9, &stored);
+            assert_eq!(stepper.observe(9, &mut counts), Some(want), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn column_native_stats_match_the_stored_vector() {
+        for n in [0, 1, 63, 64, 65, 4097] {
+            assert_observe_matches_vector(n);
+        }
+        let params = Params::for_target(1024).unwrap();
+        let tie: Vec<AgentState> = [2, 2, params.epoch_len() - 1, 5]
+            .iter()
+            .map(|&r| AgentState::desynced(&params, r))
+            .chain([AgentState::active_at(
+                &params,
+                params.epoch_len() - 1,
+                Color::One,
+            )])
+            .collect();
+        let mut stepper = StabilityColumns::new(params);
+        stepper.load(&tie, None);
+        let stats = stepper.observe(0, &mut BTreeMap::new()).unwrap();
+        assert_eq!(
+            stats.majority_round,
+            Some(tie[2].round),
+            "ties go to the larger round"
+        );
+        assert_eq!(stats.wrong_round, 3);
+        assert_eq!(stats.in_eval, 2);
     }
 
     #[test]

@@ -18,14 +18,17 @@
 //! transposes `Vec<P::State>` into the columns; [`ColumnarStep::step`]
 //! and [`ColumnarStep::apply`] then advance the columns round after round
 //! **without touching the vector**; [`ColumnarStep::store`] transposes
-//! back on demand. On the recording-free fast path (`()` observer, no-op
-//! adversary) the engine loads once, keeps the columns resident for the
-//! whole run, and stores once at the end — the per-round traffic drops
-//! from two streams over 24-byte structs to a handful of compact columns.
-//! Whenever something needs the vector (a recording observer, a real
-//! adversary, a snapshot), the engine materializes it first; whenever
-//! something mutates the vector, the engine reloads the columns before
-//! the next step. See [`Engine`](crate::Engine) for the exact gating
+//! back on demand. With a no-op adversary and an observer that does not
+//! read the agent slice — `()`, [`OnRound`](crate::OnRound), and
+//! [`RecordStats`](crate::RecordStats), which takes its per-round stats
+//! from the columns through [`ColumnarStep::observe`] — the engine loads
+//! once, keeps the columns resident for the whole run, and stores once at
+//! the end: the per-round traffic drops from two streams over 24-byte
+//! structs to a handful of compact columns. Whenever something needs the
+//! vector (an observer reading [`EngineView::agents`](crate::EngineView::agents),
+//! a real adversary, a snapshot), the engine materializes it first;
+//! whenever something mutates the vector, the engine reloads the columns
+//! before the next step. See [`Engine`](crate::Engine) for the exact gating
 //! ([`Observer::needs_engine_state`](crate::Observer::needs_engine_state),
 //! [`Adversary::is_noop`](crate::Adversary::is_noop)).
 //!
@@ -43,10 +46,12 @@
 //! paths against each other over random `(seed, rounds, workers)` and at
 //! `N = 2^20`.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::agent::Protocol;
 use crate::batch::ShardPool;
+use crate::metrics::RoundStats;
 
 /// A protocol's columnar state store and step-phase executor, as installed
 /// into an engine.
@@ -98,6 +103,23 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// reproducing byte for byte the vector the scalar path would hold
     /// after the same rounds.
     fn store(&self, agents: &mut Vec<S>);
+
+    /// The observation-derived [`RoundStats`] of the resident population,
+    /// stamped `round`, computed from the columns — or `None` when the
+    /// stepper cannot, which is the default. A `Some` must equal
+    /// [`RoundStats::observe_with`] over the vector [`store`](Self::store)
+    /// would produce. `counts` is the epoch-round histogram scratch: fold it
+    /// through [`RoundTally`](crate::metrics::RoundTally) so the majority
+    /// rule matches the vector path's.
+    ///
+    /// [`EngineView::round_stats`](crate::EngineView::round_stats) calls
+    /// this, which is what lets [`RecordStats`](crate::RecordStats) record
+    /// every round while the columns stay resident; on `None` it stores
+    /// into a scratch vector and observes that instead.
+    fn observe(&self, round: u64, counts: &mut BTreeMap<u32, usize>) -> Option<RoundStats> {
+        let _ = (round, counts);
+        None
+    }
 
     /// Current population held in the columns.
     fn len(&self) -> usize;

@@ -45,6 +45,7 @@
 use std::collections::BTreeMap;
 
 use crate::agent::Protocol;
+use crate::columns::ColumnarStep;
 use crate::config::SimConfig;
 use crate::engine::{HaltReason, RoundReport};
 use crate::metrics::{MetricsRecorder, RoundStats};
@@ -201,6 +202,11 @@ impl RunOutcome {
 #[derive(Debug)]
 pub struct EngineView<'a, P: Protocol> {
     pub(crate) agents: &'a [P::State],
+    /// The resident columnar stepper when `agents` is stale — a columnar
+    /// step ran and nothing materialized the vector, because the observer
+    /// declared [`Observer::needs_engine_state`] `false`. `None` when
+    /// `agents` is current.
+    pub(crate) stale_columns: Option<&'a dyn ColumnarStep<P::State>>,
     pub(crate) round: u64,
     pub(crate) halted: Option<HaltReason>,
     pub(crate) config: &'a SimConfig,
@@ -209,13 +215,41 @@ pub struct EngineView<'a, P: Protocol> {
 
 impl<'a, P: Protocol> EngineView<'a, P> {
     /// All agent states, post-round.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the engine left the vector stale, i.e. when the observer
+    /// reading it declared [`Observer::needs_engine_state`] `false`.
     pub fn agents(&self) -> &'a [P::State] {
+        assert!(
+            self.stale_columns.is_none(),
+            "EngineView::agents read a stale vector: the observer declared \
+             needs_engine_state() == false"
+        );
         self.agents
     }
 
-    /// Population size, post-round.
+    /// Population size, post-round (live even when the vector is stale).
     pub fn population(&self) -> usize {
-        self.agents.len()
+        self.stale_columns.map_or(self.agents.len(), |c| c.len())
+    }
+
+    /// The observation-derived [`RoundStats`] of the post-round population,
+    /// stamped `round` — what [`RecordStats`] records. When the vector is
+    /// stale this reads the resident columns through
+    /// [`ColumnarStep::observe`]; a stepper that declines is stored into a
+    /// scratch vector and observed from there. Either way the result equals
+    /// [`RoundStats::observe_with`] over [`agents`](Self::agents).
+    /// `counts` is the epoch-round histogram scratch.
+    pub fn round_stats(&self, round: u64, counts: &mut BTreeMap<u32, usize>) -> RoundStats {
+        let Some(columns) = self.stale_columns else {
+            return RoundStats::observe_with(round, self.agents, counts);
+        };
+        columns.observe(round, counts).unwrap_or_else(|| {
+            let mut agents = Vec::new();
+            columns.store(&mut agents);
+            RoundStats::observe_with(round, &agents, counts)
+        })
     }
 
     /// Rounds executed so far (the *next* round number).
@@ -258,13 +292,16 @@ pub trait Observer<P: Protocol> {
     fn on_round(&mut self, report: &RoundReport, view: &EngineView<'_, P>);
 
     /// Whether this observer reads the agent state slice
-    /// ([`EngineView::agents`]) from its callback. Defaults to `true` —
-    /// engines running a columnar protocol then materialize
-    /// `Vec<P::State>` from the resident columns before every callback, so
-    /// third-party observers stay correct unexamined. Observers that only
-    /// read the [`RoundReport`] (like [`OnRound`] and `()`) return `false`,
-    /// keeping the columns resident across rounds; combinators delegate to
-    /// what they wrap. Queried once per run, before the first round.
+    /// ([`EngineView::agents`] or [`EngineView::snapshot`]) from its
+    /// callback. Defaults to `true` — engines running a columnar protocol
+    /// then materialize `Vec<P::State>` from the resident columns before
+    /// every callback, so third-party observers stay correct unexamined.
+    /// Observers that read only the [`RoundReport`] and the view's scalars
+    /// (like [`OnRound`] and `()`), or take their stats through
+    /// [`EngineView::round_stats`] (like [`RecordStats`]), return `false`,
+    /// keeping the columns resident across rounds; on such a view
+    /// [`EngineView::agents`] panics. Combinators delegate to what they
+    /// wrap. Queried once per run, before the first round.
     fn needs_engine_state(&self) -> bool {
         true
     }
@@ -383,6 +420,12 @@ impl<P: Protocol, F: FnMut(&RoundReport)> Observer<P> for OnRound<F> {
 /// the engine's global round counter after the round) — plus any round
 /// that ends in extinction, so a collapsing run always keeps its final
 /// sample.
+///
+/// It takes each round's stats through [`EngineView::round_stats`], never
+/// through the agent slice, so it declares
+/// [`needs_engine_state`](Observer::needs_engine_state) `false`: on a
+/// columnar protocol the stats come straight from the resident columns and
+/// a recording run keeps them resident exactly as a `()` run does.
 #[derive(Debug)]
 pub struct RecordStats<'a> {
     rec: &'a mut MetricsRecorder,
@@ -425,13 +468,17 @@ impl<P: Protocol> Observer<P> for RecordStats<'_> {
         if view.round() % self.every != self.phase && report.population_after != 0 {
             return;
         }
-        let mut stats = RoundStats::observe_with(report.round, view.agents(), &mut self.counts);
+        let mut stats = view.round_stats(report.round, &mut self.counts);
         stats.splits = report.splits;
         stats.deaths = report.deaths;
         stats.adv_inserted = report.inserted;
         stats.adv_deleted = report.deleted;
         stats.adv_modified = report.modified;
         self.rec.record(stats);
+    }
+
+    fn needs_engine_state(&self) -> bool {
+        false
     }
 }
 

@@ -327,6 +327,11 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
             }
             let view = EngineView {
                 agents: &self.agents,
+                stale_columns: if self.vec_stale {
+                    self.columnar.as_deref()
+                } else {
+                    None
+                },
                 round: self.round,
                 halted: self.halted,
                 config: &self.cfg,
@@ -1662,5 +1667,129 @@ mod tests {
         assert_eq!(restored.halted(), Some(HaltReason::Exploded));
         // A halted engine stays inert after restore, too.
         assert_eq!(restored.run(RunSpec::rounds(5), &mut ()).executed, 0);
+    }
+
+    /// [`SplitOnce`] with a columnar twin: the `done` flags held resident as
+    /// one `Vec<bool>`. The stepper declines [`ColumnarStep::observe`], so
+    /// it drives stale-vector views and the `round_stats` store fallback.
+    struct ColumnarSplitOnce;
+
+    #[derive(Debug, Default)]
+    struct DoneColumn(Vec<bool>);
+
+    impl ColumnarStep<SplitState> for DoneColumn {
+        fn load(&mut self, agents: &[SplitState], _pool: Option<&ShardPool>) {
+            self.0 = agents.iter().map(|a| a.done).collect();
+        }
+        fn step(
+            &mut self,
+            partners: &[u32],
+            _round_key: u64,
+            _pool: Option<&ShardPool>,
+            splits: &mut Vec<usize>,
+            _deaths: &mut Vec<usize>,
+        ) {
+            for (i, done) in self.0.iter_mut().enumerate() {
+                if !*done && partners[i] != UNMATCHED {
+                    *done = true;
+                    splits.push(i);
+                }
+            }
+        }
+        fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
+            for &i in splits {
+                let daughter = self.0[i];
+                self.0.push(daughter);
+            }
+            for &i in deaths.iter().rev() {
+                self.0.swap_remove(i);
+            }
+        }
+        fn store(&self, agents: &mut Vec<SplitState>) {
+            agents.clear();
+            agents.extend(self.0.iter().map(|&done| SplitState { done }));
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    impl Protocol for ColumnarSplitOnce {
+        type State = SplitState;
+        type Message = ();
+        fn initial_state(&self, rng: &mut SimRng) -> SplitState {
+            SplitOnce.initial_state(rng)
+        }
+        fn message(&self, _s: &SplitState) {}
+        fn step(&self, s: &mut SplitState, incoming: Option<&()>, rng: &mut SimRng) -> Action {
+            SplitOnce.step(s, incoming, rng)
+        }
+        fn columnar(&self) -> Option<Box<dyn ColumnarStep<SplitState>>> {
+            Some(Box::<DoneColumn>::default())
+        }
+    }
+
+    /// An observer that declares it never reads the agent slice and hands
+    /// every view to `f`.
+    struct ViewOnly<F>(F);
+
+    impl<P: Protocol, F: FnMut(&RoundReport, &EngineView<'_, P>)> Observer<P> for ViewOnly<F> {
+        fn on_round(&mut self, report: &RoundReport, view: &EngineView<'_, P>) {
+            (self.0)(report, view);
+        }
+        fn needs_engine_state(&self) -> bool {
+            false
+        }
+    }
+
+    fn half_matched_split_once(seed: u64) -> Engine<ColumnarSplitOnce> {
+        let cfg = SimConfig::builder()
+            .seed(seed)
+            .matching(MatchingModel::ExactFraction(0.5))
+            .build()
+            .unwrap();
+        Engine::with_population(ColumnarSplitOnce, cfg, 64)
+    }
+
+    #[test]
+    fn stale_views_report_the_live_population() {
+        let mut engine = half_matched_split_once(16);
+        assert!(engine.columnar_enabled());
+        let mut seen = Vec::new();
+        engine.run(
+            RunSpec::rounds(6),
+            &mut ViewOnly(|r: &RoundReport, v: &EngineView<'_, ColumnarSplitOnce>| {
+                seen.push((r.population_after, v.population(), r.splits));
+            }),
+        );
+        assert!(seen.iter().filter(|s| s.2 > 0).count() > 1, "{seen:?}");
+        for (after, live, _) in seen {
+            assert_eq!(after, live);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "read a stale vector")]
+    fn agents_on_a_stale_view_panic() {
+        half_matched_split_once(17).run(
+            RunSpec::rounds(1),
+            &mut ViewOnly(|_: &RoundReport, v: &EngineView<'_, ColumnarSplitOnce>| {
+                let _ = v.agents();
+            }),
+        );
+    }
+
+    #[test]
+    fn record_stats_stores_when_the_stepper_declines_to_observe() {
+        let run = |columnar: bool| {
+            let mut engine = half_matched_split_once(18);
+            engine.set_columnar(columnar);
+            let mut rec = crate::MetricsRecorder::new();
+            engine.run(RunSpec::rounds(6), &mut crate::RecordStats::new(&mut rec));
+            rec.rounds().to_vec()
+        };
+        let stats = run(true);
+        assert_eq!(stats, run(false));
+        assert!(stats.windows(2).any(|w| w[0].active != w[1].active));
     }
 }

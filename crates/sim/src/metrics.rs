@@ -46,9 +46,8 @@ impl RoundStats {
     }
 
     /// As [`observe`](RoundStats::observe), but reusing `round_counts` as the
-    /// epoch-round histogram scratch (cleared on entry). The engine calls
-    /// this on every recorded round, so the map's allocation is hoisted out
-    /// of the hot loop.
+    /// epoch-round histogram scratch (cleared on entry), so a recorder that
+    /// observes every round allocates it once.
     pub fn observe_with<S: Observable>(
         round: u64,
         agents: &[S],
@@ -59,7 +58,7 @@ impl RoundStats {
             population: agents.len(),
             ..RoundStats::default()
         };
-        round_counts.clear();
+        let mut tally = RoundTally::new(round_counts);
         for agent in agents {
             let obs: Observation = agent.observe();
             if obs.active {
@@ -80,17 +79,10 @@ impl RoundStats {
                 stats.leaders += 1;
             }
             if let Some(r) = obs.round_in_epoch {
-                *round_counts.entry(r).or_insert(0) += 1;
+                tally.push(r);
             }
         }
-        // BTreeMap iteration is key-ordered, so the majority tie-break is
-        // deterministic (largest round value wins) — a HashMap here would
-        // resolve ties in per-process random order.
-        if let Some((&majority, &count)) = round_counts.iter().max_by_key(|&(_, c)| *c) {
-            stats.majority_round = Some(majority);
-            let total: usize = round_counts.values().sum();
-            stats.wrong_round = total - count;
-        }
+        (stats.majority_round, stats.wrong_round) = tally.finish();
         stats
     }
 
@@ -105,6 +97,65 @@ impl RoundStats {
             0.0
         } else {
             self.active as f64 / self.population as f64
+        }
+    }
+}
+
+/// The epoch-round histogram behind [`RoundStats::majority_round`] and
+/// [`RoundStats::wrong_round`], filled run by run: consecutive agents
+/// reporting the same round cost one map update per run, not one per
+/// agent. [`RoundStats::observe_with`] and every column-native
+/// [`ColumnarStep::observe`](crate::ColumnarStep::observe) fold through it,
+/// so the two paths share one majority rule.
+#[derive(Debug)]
+pub struct RoundTally<'a> {
+    counts: &'a mut BTreeMap<u32, usize>,
+    value: u32,
+    run: usize,
+}
+
+impl<'a> RoundTally<'a> {
+    /// Starts a tally into `counts`, clearing it.
+    pub fn new(counts: &'a mut BTreeMap<u32, usize>) -> RoundTally<'a> {
+        counts.clear();
+        RoundTally {
+            counts,
+            value: 0,
+            run: 0,
+        }
+    }
+
+    /// Counts one agent reporting epoch round `r`.
+    #[inline]
+    pub fn push(&mut self, r: u32) {
+        if self.run > 0 && r == self.value {
+            self.run += 1;
+        } else {
+            self.flush();
+            self.value = r;
+            self.run = 1;
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.run > 0 {
+            *self.counts.entry(self.value).or_insert(0) += self.run;
+        }
+    }
+
+    /// Closes the tally: `(majority_round, wrong_round)`. The majority is
+    /// the most common round, the largest one among equally common rounds
+    /// (the map iterates in key order, so the tie-break is deterministic —
+    /// a `HashMap` here would resolve ties in per-process random order);
+    /// `wrong_round` counts every tallied agent off it.
+    pub fn finish(mut self) -> (Option<u32>, usize) {
+        self.flush();
+        match self.counts.iter().max_by_key(|&(_, c)| *c) {
+            Some((&majority, &count)) => {
+                let total: usize = self.counts.values().sum();
+                (Some(majority), total - count)
+            }
+            None => (None, 0),
         }
     }
 }
@@ -231,6 +282,18 @@ mod tests {
         assert_eq!(s.population, 0);
         assert_eq!(s.majority_round, None);
         assert_eq!(s.active_fraction(), 0.0);
+    }
+
+    #[test]
+    fn tally_merges_runs_and_breaks_ties_toward_the_larger_round() {
+        let mut counts = BTreeMap::from([(7, 100)]);
+        let mut tally = RoundTally::new(&mut counts);
+        for r in [4, 4, 9, 9, 9, 4, 1] {
+            tally.push(r);
+        }
+        assert_eq!(tally.finish(), (Some(9), 4));
+        assert_eq!(counts, BTreeMap::from([(1, 1), (4, 3), (9, 3)]));
+        assert_eq!(RoundTally::new(&mut counts).finish(), (None, 0));
     }
 
     #[test]

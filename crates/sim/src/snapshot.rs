@@ -630,6 +630,11 @@ where
     /// [`Engine::snapshot`](crate::Engine::snapshot), which is what lets
     /// the [`Checkpoint`] combinator checkpoint a run from *inside* the
     /// round loop.
+    ///
+    /// # Panics
+    ///
+    /// As [`EngineView::agents`]: when the observer declared
+    /// [`Observer::needs_engine_state`] `false`, the vector is stale.
     pub fn snapshot(&self) -> Snapshot {
         let mut agent_bytes = Vec::new();
         for agent in self.agents() {

@@ -122,10 +122,15 @@
 //!   [`core::columns::StabilityColumns`] — 1-bit and 1-byte columns
 //!   (alive/color/phase flags, packed wire bytes) evaluated 64 agents per
 //!   machine word with the lane-batched `_x8` [`CounterRng`](prelude::SimRng)
-//!   kernels. The columns stay *resident* across rounds on the fast path
-//!   (`()`/`OnRound` observers, no-op adversary) and transpose back to the
-//!   vector only when something actually reads it (a recording observer,
-//!   an acting adversary, [`Engine::snapshot`](prelude::Engine),
+//!   kernels. The columns stay *resident* across rounds whenever the
+//!   adversary is a no-op and the observer does not read the agent slice:
+//!   `()`, `OnRound`, and [`RecordStats`](prelude::RecordStats), which
+//!   takes each round's stats straight from the columns (popcounts over
+//!   the flag words, a run-length histogram of the round column), so
+//!   recording the paper's per-round figures costs no transpose. They
+//!   transpose back to the vector only when something actually reads it
+//!   (an observer that reads agents, an acting adversary,
+//!   [`Engine::snapshot`](prelude::Engine),
 //!   [`Engine::agents`](prelude::Engine)). There is no switch to turn it
 //!   on: scenarios, forks, restores and the CLI all get it.
 //! * **Bit-for-bit identical, by construction and by gate.** Batching can
@@ -136,9 +141,9 @@
 //!   untouched, old snapshots restore, and the golden fixtures pass
 //!   unchanged against the columnar path. `tests/columnar_equivalence.rs`
 //!   drives random `(seed, rounds, workers)` through both paths (clean and
-//!   adversarial, plus one fixed case at N = 2²⁰), comparing traces, full
-//!   agent vectors and snapshot bytes; a hidden test-only hook forces the
-//!   scalar side.
+//!   adversarial, plus one fixed case at N = 2²⁰), comparing traces,
+//!   recorded stats, full agent vectors and snapshot bytes; a hidden
+//!   test-only hook forces the scalar side.
 //! * **Byte budget.** At large N the resident footprint is the agent
 //!   vector plus a few dozen bits of column state per agent — ~46 B/agent
 //!   total at N = 2²⁰/2²² ([`Engine::approx_mem_bytes`](prelude::Engine)),

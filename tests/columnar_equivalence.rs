@@ -2,26 +2,36 @@
 //! to the scalar `Protocol::step` loop on the paper's protocol.
 //!
 //! The columnar store keeps the population resident across rounds on the
-//! fast path (`()`/`OnRound` observers, no-op adversary) and transposes
-//! back on demand, so these properties drive every gating decision the
-//! engine makes: long resident stretches, per-round materialization for a
-//! recording observer, column reloads after adversarial churn, and
+//! fast path (`()`/`OnRound`/`RecordStats` observers, no-op adversary) and
+//! transposes back on demand, so these properties drive every gating
+//! decision the engine makes: long resident stretches, per-round
+//! materialization for an observer that reads the agents, column reloads
+//! after adversarial churn, and
 //! snapshot/restore through the columnar path — comparing per-round
-//! reports, the **full agent state vector** (every field, every slot), the
-//! halt state, and the encoded snapshot bytes across random
+//! reports, the per-round `RecordStats` figures (taken straight from the
+//! resident columns on the columnar side), the **full agent state vector**
+//! (every field, every slot), the halt state, and the encoded snapshot
+//! bytes across random
 //! `(seed, rounds, workers)`, plus one fixed million-agent case. Every
 //! engine steps on the columnar path by default; the hidden
 //! `Engine::set_columnar(false)` hook forces the scalar side. The golden
 //! fixtures pin the same trajectories against history; this suite pins the
 //! two live paths against each other.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use population_stability::adversary::{Trauma, TraumaKind};
 use population_stability::core::state::AgentState;
+use population_stability::core::Message;
 use population_stability::prelude::*;
+use population_stability::sim::batch::ShardPool;
 use population_stability::sim::{
-    MetricsRecorder, NoOpAdversary, OnRound, RecordStats, RoundReport, RunSpec, Threads,
+    ColumnarStep, EngineView, MetricsRecorder, NoOpAdversary, OnRound, RecordStats, RoundReport,
+    RoundStats, RunSpec, Threads,
 };
 
 const TARGET: u64 = 1024;
@@ -76,8 +86,61 @@ where
     (trace, engine.agents().to_vec(), engine.round(), bytes)
 }
 
+/// As [`fingerprint`], but watched by two recorders — every round, and
+/// every `every`-th round at `phase` — whose stats replace the report trace.
+fn recorded_fingerprint<A>(
+    mut engine: Engine<PopulationStability, A>,
+    columnar: bool,
+    rounds: u64,
+    threads: Threads,
+    (every, phase): (u64, u64),
+) -> (Vec<RoundStats>, Vec<RoundStats>, Vec<AgentState>, Vec<u8>)
+where
+    A: Adversary<AgentState>,
+{
+    engine.set_columnar(columnar);
+    let (mut all, mut strided) = (MetricsRecorder::new(), MetricsRecorder::new());
+    engine.run(
+        RunSpec::rounds(rounds).threads(threads),
+        &mut Tee(
+            RecordStats::new(&mut all),
+            RecordStats::stride(&mut strided, every, phase),
+        ),
+    );
+    let bytes = engine.snapshot().to_bytes();
+    (
+        all.rounds().to_vec(),
+        strided.rounds().to_vec(),
+        engine.agents().to_vec(),
+        bytes,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Recording runs: `RecordStats` reads each round's stats from the
+    /// resident columns on the columnar side and from the vector on the
+    /// scalar side; every recorded round, the final agents and the snapshot
+    /// bytes must agree, clean and adversarial, serial and sharded.
+    #[test]
+    fn columnar_recorded_stats_bit_identical_to_scalar(
+        seed in 0u64..1000,
+        rounds in 1u64..600,
+        workers in 2usize..5,
+        every in 1u64..9,
+        phase_seed in 0u64..1000,
+    ) {
+        let stride = (every, phase_seed % every);
+        for threads in [Threads::Serial, Threads::Sharded(workers)] {
+            let scalar = recorded_fingerprint(clean_engine(seed), false, rounds, threads, stride);
+            let columnar = recorded_fingerprint(clean_engine(seed), true, rounds, threads, stride);
+            prop_assert_eq!(&scalar, &columnar, "clean run diverged");
+            let scalar = recorded_fingerprint(trauma_engine(seed), false, rounds, threads, stride);
+            let columnar = recorded_fingerprint(trauma_engine(seed), true, rounds, threads, stride);
+            prop_assert_eq!(&scalar, &columnar, "adversarial run diverged");
+        }
+    }
 
     /// Clean runs: the resident fast path (an `OnRound` observer never
     /// needs the vector, so the columns stay loaded for the entire run)
@@ -118,9 +181,9 @@ proptest! {
     }
 }
 
-/// A recording observer reads the agent slice after every round, forcing a
-/// per-round materialize *without* invalidating the resident columns — the
-/// stats and the trajectory must still match the scalar path exactly.
+/// A recording observer takes its stats from the resident columns, never
+/// materializing mid-run — the stats and the trajectory must still match
+/// the scalar path exactly across whole epochs.
 #[test]
 fn columnar_recorded_stats_match_scalar() {
     let params = Params::for_target(TARGET).unwrap();
@@ -137,6 +200,121 @@ fn columnar_recorded_stats_match_scalar() {
         )
     };
     assert_eq!(run(false), run(true));
+}
+
+/// The paper's protocol behind a columnar stepper that counts its `store`
+/// calls and forwards everything else, `observe` included.
+struct CountingStores {
+    inner: PopulationStability,
+    stores: Arc<AtomicUsize>,
+}
+
+#[derive(Debug)]
+struct StoreCounter {
+    inner: Box<dyn ColumnarStep<AgentState>>,
+    stores: Arc<AtomicUsize>,
+}
+
+impl Protocol for CountingStores {
+    type State = AgentState;
+    type Message = Message;
+
+    fn initial_state(&self, rng: &mut SimRng) -> AgentState {
+        self.inner.initial_state(rng)
+    }
+
+    fn message(&self, state: &AgentState) -> Message {
+        self.inner.message(state)
+    }
+
+    fn step(&self, state: &mut AgentState, incoming: Option<&Message>, rng: &mut SimRng) -> Action {
+        self.inner.step(state, incoming, rng)
+    }
+
+    fn columnar(&self) -> Option<Box<dyn ColumnarStep<AgentState>>> {
+        Some(Box::new(StoreCounter {
+            inner: self.inner.columnar()?,
+            stores: Arc::clone(&self.stores),
+        }))
+    }
+}
+
+impl ColumnarStep<AgentState> for StoreCounter {
+    fn load(&mut self, agents: &[AgentState], pool: Option<&ShardPool>) {
+        self.inner.load(agents, pool);
+    }
+
+    fn step(
+        &mut self,
+        partners: &[u32],
+        round_key: u64,
+        pool: Option<&ShardPool>,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        self.inner.step(partners, round_key, pool, splits, deaths);
+    }
+
+    fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
+        self.inner.apply(splits, deaths);
+    }
+
+    fn store(&self, agents: &mut Vec<AgentState>) {
+        self.stores.fetch_add(1, Relaxed);
+        self.inner.store(agents);
+    }
+
+    fn observe(&self, round: u64, counts: &mut BTreeMap<u32, usize>) -> Option<RoundStats> {
+        self.inner.observe(round, counts)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+/// An observer that reads the agent slice, so it keeps the default
+/// `needs_engine_state() == true`.
+struct ReadsAgents(usize);
+
+impl<P: Protocol> Observer<P> for ReadsAgents {
+    fn on_round(&mut self, _report: &RoundReport, view: &EngineView<'_, P>) {
+        self.0 += view.agents().len();
+    }
+}
+
+/// Recording keeps the columns resident: `RecordStats` alone stores once
+/// (the final materialize) however many rounds it records, while a
+/// recorder teed with an observer that reads the agents still stores
+/// after every round.
+#[test]
+fn record_stats_keeps_the_columns_resident() {
+    const ROUNDS: u64 = 40;
+    let stores = Arc::new(AtomicUsize::new(0));
+    let engine = || {
+        let params = Params::for_target(TARGET).unwrap();
+        let cfg = SimConfig::builder().seed(3).target(TARGET).build().unwrap();
+        let protocol = CountingStores {
+            inner: PopulationStability::new(params),
+            stores: Arc::clone(&stores),
+        };
+        Engine::with_population(protocol, cfg, TARGET as usize)
+    };
+
+    let mut rec = MetricsRecorder::new();
+    engine().run(RunSpec::rounds(ROUNDS), &mut RecordStats::new(&mut rec));
+    assert_eq!(rec.len() as u64, ROUNDS);
+    assert_eq!(stores.swap(0, Relaxed), 1, "RecordStats alone");
+
+    let mut rec = MetricsRecorder::new();
+    let mut obs = Tee(RecordStats::new(&mut rec), ReadsAgents(0));
+    engine().run(RunSpec::rounds(ROUNDS), &mut obs);
+    assert!(obs.1 .0 > 0);
+    assert_eq!(
+        stores.load(Relaxed) as u64,
+        ROUNDS,
+        "RecordStats + agents reader"
+    );
 }
 
 /// Snapshot mid-run on the columnar path, restore, continue columnar: the
