@@ -5,7 +5,7 @@ use popstab_core::state::AgentState;
 use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
 use rand::Rng;
 
-use crate::majority_round;
+use crate::Seen;
 
 /// Deletes `k` uniformly random agents per round, chosen with full knowledge
 /// of the state slice (though for uniform deletion the knowledge is unused).
@@ -19,6 +19,18 @@ impl RandomDeleter {
     pub fn new(k: usize) -> Self {
         RandomDeleter { k }
     }
+
+    fn decide(
+        &mut self,
+        _ctx: &RoundContext,
+        seen: Seen<'_>,
+        rng: &mut SimRng,
+    ) -> Vec<Alteration<AgentState>> {
+        sample_distinct(seen.population(), self.k, rng)
+            .into_iter()
+            .map(Alteration::Delete)
+            .collect()
+    }
 }
 
 impl Adversary<AgentState> for RandomDeleter {
@@ -26,17 +38,7 @@ impl Adversary<AgentState> for RandomDeleter {
         "random-delete"
     }
 
-    fn act(
-        &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
-        rng: &mut SimRng,
-    ) -> Vec<Alteration<AgentState>> {
-        sample_distinct(agents.len(), self.k, rng)
-            .into_iter()
-            .map(Alteration::Delete)
-            .collect()
-    }
+    decide_from_seen!();
 }
 
 /// A *state-oblivious* deleter: removes the `k` oldest slots (lowest
@@ -53,6 +55,17 @@ impl ObliviousDeleter {
     pub fn new(k: usize) -> Self {
         ObliviousDeleter { k }
     }
+
+    fn decide(
+        &mut self,
+        _ctx: &RoundContext,
+        seen: Seen<'_>,
+        _rng: &mut SimRng,
+    ) -> Vec<Alteration<AgentState>> {
+        (0..self.k.min(seen.population()))
+            .map(Alteration::Delete)
+            .collect()
+    }
 }
 
 impl Adversary<AgentState> for ObliviousDeleter {
@@ -60,16 +73,7 @@ impl Adversary<AgentState> for ObliviousDeleter {
         "oblivious-delete"
     }
 
-    fn act(
-        &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
-        _rng: &mut SimRng,
-    ) -> Vec<Alteration<AgentState>> {
-        (0..self.k.min(agents.len()))
-            .map(Alteration::Delete)
-            .collect()
-    }
+    decide_from_seen!();
 }
 
 /// Inserts `k` fresh agents per round, forged with the honest majority round
@@ -86,6 +90,18 @@ impl RandomInserter {
     pub fn new(params: Params, k: usize) -> Self {
         RandomInserter { params, k }
     }
+
+    fn decide(
+        &mut self,
+        _ctx: &RoundContext,
+        seen: Seen<'_>,
+        _rng: &mut SimRng,
+    ) -> Vec<Alteration<AgentState>> {
+        let round = seen.majority_round().unwrap_or(0);
+        (0..self.k)
+            .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
+            .collect()
+    }
 }
 
 impl Adversary<AgentState> for RandomInserter {
@@ -93,17 +109,7 @@ impl Adversary<AgentState> for RandomInserter {
         "random-insert"
     }
 
-    fn act(
-        &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
-        _rng: &mut SimRng,
-    ) -> Vec<Alteration<AgentState>> {
-        let round = majority_round(agents).unwrap_or(0);
-        (0..self.k)
-            .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
-            .collect()
-    }
+    decide_from_seen!();
 }
 
 /// Half deletions, half insertions each round: maximum turnover with zero
@@ -120,23 +126,17 @@ impl Churn {
     pub fn new(params: Params, k: usize) -> Self {
         Churn { params, k }
     }
-}
 
-impl Adversary<AgentState> for Churn {
-    fn name(&self) -> &'static str {
-        "churn"
-    }
-
-    fn act(
+    fn decide(
         &mut self,
         _ctx: &RoundContext,
-        agents: &[AgentState],
+        seen: Seen<'_>,
         rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
         let deletes = self.k / 2;
         let inserts = self.k - deletes;
-        let round = majority_round(agents).unwrap_or(0);
-        let mut out: Vec<Alteration<AgentState>> = sample_distinct(agents.len(), deletes, rng)
+        let round = seen.majority_round().unwrap_or(0);
+        let mut out: Vec<Alteration<AgentState>> = sample_distinct(seen.population(), deletes, rng)
             .into_iter()
             .map(Alteration::Delete)
             .collect();
@@ -145,6 +145,14 @@ impl Adversary<AgentState> for Churn {
         );
         out
     }
+}
+
+impl Adversary<AgentState> for Churn {
+    fn name(&self) -> &'static str {
+        "churn"
+    }
+
+    decide_from_seen!();
 }
 
 /// Samples up to `k` distinct indices from `0..len` (all of them if

@@ -6,7 +6,7 @@ use popstab_core::state::{AgentState, Color};
 use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
 
 use crate::bulk::sample_distinct;
-use crate::majority_round;
+use crate::Seen;
 
 /// Deletes leaders as soon as they appear (optionally only leaders of one
 /// color). This is the attack that breaks leader-election-based protocols
@@ -75,20 +75,14 @@ impl ColorFlooder {
             next_lineage: 1 << 62,
         }
     }
-}
 
-impl Adversary<AgentState> for ColorFlooder {
-    fn name(&self) -> &'static str {
-        "color-flooder"
-    }
-
-    fn act(
+    fn decide(
         &mut self,
         _ctx: &RoundContext,
-        agents: &[AgentState],
+        seen: Seen<'_>,
         _rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
-        let round = majority_round(agents).unwrap_or(0);
+        let round = seen.majority_round().unwrap_or(0);
         // Forged leaders only help the attacker while recruitment can still
         // complete; inserting one mid-epoch yields a partial cluster, which
         // is still adversarially useful, so insert whenever.
@@ -102,6 +96,14 @@ impl Adversary<AgentState> for ColorFlooder {
             })
             .collect()
     }
+}
+
+impl Adversary<AgentState> for ColorFlooder {
+    fn name(&self) -> &'static str {
+        "color-flooder"
+    }
+
+    decide_from_seen!();
 }
 
 /// Deletes active agents of the *minority* color each round, widening the
@@ -167,6 +169,19 @@ impl DesyncInserter {
     pub fn new(params: Params, k: usize, offset: u32) -> Self {
         DesyncInserter { params, k, offset }
     }
+
+    fn decide(
+        &mut self,
+        _ctx: &RoundContext,
+        seen: Seen<'_>,
+        _rng: &mut SimRng,
+    ) -> Vec<Alteration<AgentState>> {
+        let t = self.params.epoch_len();
+        let round = (seen.majority_round().unwrap_or(0) + self.offset) % t;
+        (0..self.k)
+            .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
+            .collect()
+    }
 }
 
 impl Adversary<AgentState> for DesyncInserter {
@@ -174,18 +189,7 @@ impl Adversary<AgentState> for DesyncInserter {
         "desync-inserter"
     }
 
-    fn act(
-        &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
-        _rng: &mut SimRng,
-    ) -> Vec<Alteration<AgentState>> {
-        let t = self.params.epoch_len();
-        let round = (majority_round(agents).unwrap_or(0) + self.offset) % t;
-        (0..self.k)
-            .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
-            .collect()
-    }
+    decide_from_seen!();
 }
 
 /// Watches the population and pushes it further away from the target:
@@ -203,6 +207,26 @@ impl DeviationAmplifier {
     pub fn new(params: Params, k: usize) -> Self {
         DeviationAmplifier { params, k }
     }
+
+    fn decide(
+        &mut self,
+        ctx: &RoundContext,
+        seen: Seen<'_>,
+        rng: &mut SimRng,
+    ) -> Vec<Alteration<AgentState>> {
+        let target = ctx.target as usize;
+        if seen.population() >= target {
+            let round = seen.majority_round().unwrap_or(0);
+            (0..self.k)
+                .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
+                .collect()
+        } else {
+            sample_distinct(seen.population(), self.k, rng)
+                .into_iter()
+                .map(Alteration::Delete)
+                .collect()
+        }
+    }
 }
 
 impl Adversary<AgentState> for DeviationAmplifier {
@@ -210,25 +234,7 @@ impl Adversary<AgentState> for DeviationAmplifier {
         "deviation-amplifier"
     }
 
-    fn act(
-        &mut self,
-        ctx: &RoundContext,
-        agents: &[AgentState],
-        rng: &mut SimRng,
-    ) -> Vec<Alteration<AgentState>> {
-        let target = ctx.target as usize;
-        if agents.len() >= target {
-            let round = majority_round(agents).unwrap_or(0);
-            (0..self.k)
-                .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
-                .collect()
-        } else {
-            sample_distinct(agents.len(), self.k, rng)
-                .into_iter()
-                .map(Alteration::Delete)
-                .collect()
-        }
-    }
+    decide_from_seen!();
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! preserved; only the unreachable asymptotic constant is dropped. See
 //! DESIGN.md §4.
 
-use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
+use popstab_sim::{Adversary, Alteration, RoundContext, RoundStats, SimRng};
 
 /// Lets the inner adversary act only on rounds `≡ phase (mod period)`.
 #[derive(Debug, Clone)]
@@ -54,6 +54,10 @@ impl<A> Throttle<A> {
     pub fn inner(&self) -> &A {
         &self.inner
     }
+
+    fn fires(&self, round: u64) -> bool {
+        round % self.period == self.phase
+    }
 }
 
 impl<S, A: Adversary<S>> Adversary<S> for Throttle<A> {
@@ -62,10 +66,25 @@ impl<S, A: Adversary<S>> Adversary<S> for Throttle<A> {
     }
 
     fn act(&mut self, ctx: &RoundContext, agents: &[S], rng: &mut SimRng) -> Vec<Alteration<S>> {
-        if ctx.round % self.period == self.phase {
+        if self.fires(ctx.round) {
             self.inner.act(ctx, agents, rng)
         } else {
             Vec::new()
+        }
+    }
+
+    /// Silent rounds decide nothing from nothing, whatever the inner
+    /// strategy reads; firing rounds forward to it.
+    fn act_on_stats(
+        &mut self,
+        ctx: &RoundContext,
+        stats: &RoundStats,
+        rng: &mut SimRng,
+    ) -> Option<Vec<Alteration<S>>> {
+        if self.fires(ctx.round) {
+            self.inner.act_on_stats(ctx, stats, rng)
+        } else {
+            Some(Vec::new())
         }
     }
 }

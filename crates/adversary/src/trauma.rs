@@ -10,7 +10,7 @@ use popstab_core::state::AgentState;
 use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
 
 use crate::bulk::sample_distinct;
-use crate::majority_round;
+use crate::Seen;
 
 /// What the trauma does to the population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +57,31 @@ impl Trauma {
     pub fn fired(&self) -> bool {
         self.fired
     }
+
+    fn decide(
+        &mut self,
+        ctx: &RoundContext,
+        seen: Seen<'_>,
+        rng: &mut SimRng,
+    ) -> Vec<Alteration<AgentState>> {
+        if self.fired || ctx.round != self.at_round {
+            return Vec::new();
+        }
+        self.fired = true;
+        let count = (self.fraction * seen.population() as f64).round() as usize;
+        match self.kind {
+            TraumaKind::Injury => sample_distinct(seen.population(), count, rng)
+                .into_iter()
+                .map(Alteration::Delete)
+                .collect(),
+            TraumaKind::Proliferation => {
+                let round = seen.majority_round().unwrap_or(0);
+                (0..count)
+                    .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
+                    .collect()
+            }
+        }
+    }
 }
 
 impl Adversary<AgentState> for Trauma {
@@ -67,30 +92,7 @@ impl Adversary<AgentState> for Trauma {
         }
     }
 
-    fn act(
-        &mut self,
-        ctx: &RoundContext,
-        agents: &[AgentState],
-        rng: &mut SimRng,
-    ) -> Vec<Alteration<AgentState>> {
-        if self.fired || ctx.round != self.at_round {
-            return Vec::new();
-        }
-        self.fired = true;
-        let count = (self.fraction * agents.len() as f64).round() as usize;
-        match self.kind {
-            TraumaKind::Injury => sample_distinct(agents.len(), count, rng)
-                .into_iter()
-                .map(Alteration::Delete)
-                .collect(),
-            TraumaKind::Proliferation => {
-                let round = majority_round(agents).unwrap_or(0);
-                (0..count)
-                    .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
-                    .collect()
-            }
-        }
-    }
+    decide_from_seen!();
 }
 
 #[cfg(test)]

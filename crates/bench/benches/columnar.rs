@@ -3,18 +3,26 @@
 //! the columnar step path (every engine's default) against the scalar
 //! `Protocol::step` loop, forced through the hidden
 //! `Engine::set_columnar(false)` hook, at the two scales where the layout
-//! starts to matter, and one recorded round's stats taken from the
-//! resident columns against a transpose plus a vector scan.
+//! starts to matter, one recorded round's stats taken from the resident
+//! columns against a transpose plus a vector scan, and one round of a
+//! stats-only adversary decided and applied on the resident columns
+//! against a transpose out, a decision over the vector, and a reload.
 
 use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use popstab_adversary::Churn;
 use popstab_core::columns::StabilityColumns;
 use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
-use popstab_sim::rng::{biased_coin, biased_coin_x8, round_key, slot_key_x8, slot_rng, LANES};
-use popstab_sim::{ColumnarStep, Engine, RoundStats, RunSpec, SimConfig};
+use popstab_core::state::AgentState;
+use popstab_sim::rng::{
+    biased_coin, biased_coin_x8, rng_from_seed, round_key, slot_key_x8, slot_rng, LANES,
+};
+use popstab_sim::{
+    Adversary, Alteration, ColumnarStep, Engine, RoundContext, RoundStats, RunSpec, SimConfig,
+};
 
 const SLOTS: u64 = 65_536;
 
@@ -116,10 +124,84 @@ fn bench_record_stats(c: &mut Criterion) {
     group.finish();
 }
 
+/// Splits `Churn`'s alterations into the engine's insert and delete lists
+/// (its deletes are already distinct and ascending; it never modifies).
+fn split_churn(
+    alterations: Vec<Alteration<AgentState>>,
+    inserts: &mut Vec<AgentState>,
+    deletes: &mut Vec<usize>,
+) {
+    inserts.clear();
+    deletes.clear();
+    for alteration in alterations {
+        match alteration {
+            Alteration::Insert(state) => inserts.push(state),
+            Alteration::Delete(i) => deletes.push(i),
+            Alteration::Modify(..) => unreachable!("churn never modifies"),
+        }
+    }
+}
+
+fn bench_adversary_resident(c: &mut Criterion) {
+    // One `Churn` (k = 4) adversary phase, mid-epoch, with the population
+    // resident in columns: `store`, `Churn::act` over the vector, apply,
+    // `load` — what every round paid while any real adversary forced the
+    // vector — against `observe`, `Churn::act_on_stats`, `alter` on the
+    // columns in place. `declined_observe` is the `observe` alone: the
+    // wasted work per round for an adversary that declines the hook and
+    // then takes the vector path anyway. Throughput is resident agents.
+    let mut group = c.benchmark_group("adversary_resident");
+    group.sample_size(10);
+    for n in [1u64 << 14, 1 << 20] {
+        let mut engine = engine_at(n, true);
+        let params = engine.protocol().params().clone();
+        engine.run(RunSpec::rounds(u64::from(params.epoch_len()) / 2), &mut ());
+        let mut columns = StabilityColumns::new(params.clone());
+        columns.load(engine.agents(), None);
+        let mut churn = Churn::new(params, 4);
+        let ctx = RoundContext {
+            round: 0,
+            budget: 4,
+            target: n,
+        };
+        let mut rng = rng_from_seed(7);
+        let (mut agents, mut counts) = (Vec::new(), BTreeMap::new());
+        let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+        group.throughput(Throughput::Elements(n));
+        group.bench_with_input(BenchmarkId::new("store_act_load", n), &n, |b, _| {
+            b.iter(|| {
+                columns.store(&mut agents);
+                let alterations = churn.act(&ctx, &agents, &mut rng);
+                split_churn(alterations, &mut inserts, &mut deletes);
+                agents.append(&mut inserts);
+                for &i in deletes.iter().rev() {
+                    agents.swap_remove(i);
+                }
+                columns.load(&agents, None);
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("observe_act_alter", n), &n, |b, _| {
+            b.iter(|| {
+                let stats = columns.observe(0, &mut counts).expect("columns observe");
+                let alterations = churn
+                    .act_on_stats(&ctx, &stats, &mut rng)
+                    .expect("churn decides from stats");
+                split_churn(alterations, &mut inserts, &mut deletes);
+                columns.alter(&inserts, &[], &deletes)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("declined_observe", n), &n, |b, _| {
+            b.iter(|| columns.observe(0, &mut counts))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_biased_coin,
     bench_step_paths,
-    bench_record_stats
+    bench_record_stats,
+    bench_adversary_resident
 );
 criterion_main!(benches);

@@ -25,9 +25,11 @@
 //! The engine transposes `Vec<AgentState>` in ([`ColumnarStep::load`]) only
 //! when the vector was mutated behind the columns' back, and back out
 //! ([`ColumnarStep::store`]) only when an observer reading the agent slice,
-//! an adversary, or a snapshot needs it — recorded per-round stats come
-//! from [`ColumnarStep::observe`] (popcounts plus a run-length scan of the
-//! round column) instead. Without such a reader each round streams ~17
+//! an adversary reading agent state, or a snapshot needs it — recorded
+//! per-round stats come from [`ColumnarStep::observe`] (popcounts plus a
+//! run-length scan of the round column) instead, and so do the decisions
+//! of stats-only adversaries, whose alterations
+//! [`ColumnarStep::alter`] writes into the columns in place. Without such a reader each round streams ~17
 //! bytes per agent instead of two passes over 24-byte structs.
 //!
 //! # Why this is bit-exact (no stream bump)
@@ -49,8 +51,11 @@
 //! reproduces the scalar vector byte for byte. `epoch_len` needs no
 //! column: every step writes `params.epoch_len()` into every surviving
 //! agent, so `store` pins it uniformly — exact because a store can only
-//! observe stepped agents (daughters clone stepped parents; adversarial
-//! inserts force a reload first). The engine-level equivalence property
+//! observe stepped agents. Daughters clone stepped parents; adversarial
+//! inserts and overwrites, whether reloaded with the vector or written
+//! in place by [`ColumnarStep::alter`], get the load pass's lane encoding
+//! (rounds normalized, `epoch_len` dropped) and are stepped before any
+//! store can see them. The engine-level equivalence property
 //! tests (`tests/columnar_equivalence.rs`) pin columnar vs scalar
 //! trajectories bit-for-bit, and the golden fixtures pin both against
 //! history.
@@ -229,13 +234,14 @@ impl StabilityColumns {
         self.len = n;
     }
 
-    /// Appends a copy of lane `i` (a split daughter of a stepped parent).
-    fn push_clone(&mut self, i: usize) {
+    /// Appends one lane, growing the bit words to cover it, and returns its
+    /// index. Its contents are unspecified until the caller writes them.
+    fn grow_lane(&mut self) -> usize {
         let la = self.len;
         let nw = (la + 1).div_ceil(64);
-        self.round.push(self.round[i]);
-        self.to_recruit.push(self.to_recruit[i]);
-        self.lineage.push(self.lineage[i]);
+        self.round.push(0);
+        self.to_recruit.push(0);
+        self.lineage.push(0);
         for col in [
             &mut self.active,
             &mut self.recruiting,
@@ -243,10 +249,38 @@ impl StabilityColumns {
             &mut self.is_leader,
         ] {
             col.resize_words(nw);
+        }
+        self.len = la + 1;
+        la
+    }
+
+    /// Appends a copy of lane `i` (a split daughter of a stepped parent).
+    fn push_clone(&mut self, i: usize) {
+        let la = self.grow_lane();
+        self.round[la] = self.round[i];
+        self.to_recruit[la] = self.to_recruit[i];
+        self.lineage[la] = self.lineage[i];
+        for col in [
+            &mut self.active,
+            &mut self.recruiting,
+            &mut self.color,
+            &mut self.is_leader,
+        ] {
             let v = col.get(i);
             col.set(la, v);
         }
-        self.len = la + 1;
+    }
+
+    /// Overwrites lane `la` (which must exist) with `s`, as the load pass
+    /// would write it.
+    fn write_lane(&mut self, la: usize, s: &AgentState) {
+        self.round[la] = normalized_round(s.round, self.params.epoch_len());
+        self.to_recruit[la] = s.to_recruit;
+        self.lineage[la] = s.lineage;
+        self.active.set(la, s.active);
+        self.recruiting.set(la, s.recruiting);
+        self.color.set(la, s.color == Color::One);
+        self.is_leader.set(la, s.is_leader);
     }
 
     /// Swap-removes lane `i`, exactly as `Vec::swap_remove` would.
@@ -559,6 +593,27 @@ impl ColumnarStep<AgentState> for StabilityColumns {
         }
     }
 
+    /// Inserts and modifies go through the load pass's lane encoding
+    /// (rounds normalized); deletes reuse the split/death swap-remove.
+    fn alter(
+        &mut self,
+        inserts: &[AgentState],
+        modifies: &[(usize, AgentState)],
+        deletes: &[usize],
+    ) -> bool {
+        for s in inserts {
+            let la = self.grow_lane();
+            self.write_lane(la, s);
+        }
+        for (i, s) in modifies {
+            self.write_lane(*i, s);
+        }
+        for &i in deletes.iter().rev() {
+            self.swap_remove(i);
+        }
+        true
+    }
+
     fn store(&self, agents: &mut Vec<AgentState>) {
         let t = self.params.epoch_len();
         agents.clear();
@@ -649,11 +704,22 @@ impl ColumnarStep<AgentState> for StabilityColumns {
     }
 }
 
+/// `round` reduced into `0..epoch_len`, as the columns hold it — exact,
+/// because the scalar step normalizes before any use and a store can only
+/// observe stepped (hence normalized) agents.
+#[inline]
+fn normalized_round(round: u32, epoch_len: u32) -> u32 {
+    if round < epoch_len {
+        round
+    } else {
+        round % epoch_len
+    }
+}
+
 /// Transpose pass: stream `agents` (one range) once into the authoritative
 /// columns. Bit words are built in registers and stored whole, so stale
-/// buffer contents and tail bits never leak. Rounds are normalized on the
-/// way in — exact, because the scalar step normalizes before any use and
-/// a store can only observe stepped (hence normalized) agents.
+/// buffer contents and tail bits never leak. Rounds are
+/// [normalized](normalized_round) on the way in.
 #[allow(clippy::too_many_arguments)]
 fn load_range(
     params: &Params,
@@ -678,7 +744,7 @@ fn load_range(
             wr |= u64::from(s.recruiting) << l;
             wc |= u64::from(s.color == Color::One) << l;
             il |= u64::from(s.is_leader) << l;
-            round[la] = if s.round < t { s.round } else { s.round % t };
+            round[la] = normalized_round(s.round, t);
             to_recruit[la] = s.to_recruit;
             lineage[la] = s.lineage;
         }
@@ -1234,7 +1300,7 @@ mod tests {
     use super::*;
     use popstab_sim::matching::{sample_matching_into, Matching};
     use popstab_sim::rng::{rng_from_seed, round_key};
-    use popstab_sim::{MatchingModel, Protocol};
+    use popstab_sim::{MatchingModel, Protocol, SimRng};
 
     /// One scalar reference round: messages, steps, splits/deaths.
     fn scalar_round(
@@ -1484,6 +1550,88 @@ mod tests {
         );
         assert_eq!(stats.wrong_round, 3);
         assert_eq!(stats.in_eval, 2);
+    }
+
+    /// `alter` applies the engine's vector semantics to the columns:
+    /// overwrite in place, append inserts in order, swap-remove deletes in
+    /// descending order — and encodes lanes as `load` does. The reference
+    /// is therefore a fresh `load` of the vector altered the `Vec` way;
+    /// both are compared through `store`, `observe`, and one more step.
+    #[test]
+    fn alter_matches_loading_the_altered_vector() {
+        use rand::Rng;
+        let params = Params::for_target(1024).unwrap();
+        let t = params.epoch_len();
+        let mut g = rng_from_seed(0xa17);
+        let state = |g: &mut SimRng, i: u64| {
+            // Rounds up to 2T: inserts and modifies may be out of range.
+            let r = g.random_range(0..2 * t);
+            match i % 4 {
+                0 => AgentState::fresh(&params),
+                1 => AgentState::desynced(&params, r),
+                2 => AgentState::active_at(&params, r % t, Color::One),
+                _ => AgentState::leader(&params, Color::Zero, i | 1),
+            }
+        };
+        for n in [63usize, 64, 65] {
+            for case in 0..4u64 {
+                let agents: Vec<AgentState> = (0..n as u64).map(|i| state(&mut g, i)).collect();
+                let inserts: Vec<AgentState> = (0..case * 23 % 70)
+                    .map(|i| state(&mut g, i + case))
+                    .collect();
+                let len = n + inserts.len();
+                let mut modifies: Vec<(usize, AgentState)> = (0..case + 2)
+                    .map(|i| (g.random_range(0..n), state(&mut g, i)))
+                    .collect();
+                modifies.push((modifies[0].0, state(&mut g, case + 1)));
+                // The last lane, the first and last inserted lanes, a
+                // modified lane, and a random one.
+                let mut deletes = vec![len - 1, n, n - 1, modifies[1].0, g.random_range(0..len)];
+                deletes.retain(|&d| d < len);
+                deletes.sort_unstable();
+                deletes.dedup();
+
+                let mut want = agents.clone();
+                for (i, s) in &modifies {
+                    want[*i] = *s;
+                }
+                want.extend_from_slice(&inserts);
+                for &i in deletes.iter().rev() {
+                    want.swap_remove(i);
+                }
+                let mut reference = StabilityColumns::new(params.clone());
+                reference.load(&want, None);
+
+                let mut altered = StabilityColumns::new(params.clone());
+                altered.load(&agents, None);
+                assert!(altered.alter(&inserts, &modifies, &deletes));
+
+                let label = format!("n = {n}, case {case}");
+                let (mut got, mut expected) = (Vec::new(), Vec::new());
+                altered.store(&mut got);
+                reference.store(&mut expected);
+                assert_eq!(got, expected, "{label}");
+                assert!(
+                    got.iter().all(|a| a.round < t),
+                    "{label}: unnormalized round"
+                );
+                assert_eq!(
+                    altered.observe(3, &mut BTreeMap::new()),
+                    reference.observe(3, &mut BTreeMap::new()),
+                    "{label}"
+                );
+                let partners = partner_table(want.len(), case, 1);
+                let (mut a_splits, mut a_deaths) = (Vec::new(), Vec::new());
+                let (mut r_splits, mut r_deaths) = (Vec::new(), Vec::new());
+                let rkey = round_key(case, 1);
+                altered.step(&partners, rkey, None, &mut a_splits, &mut a_deaths);
+                reference.step(&partners, rkey, None, &mut r_splits, &mut r_deaths);
+                assert_eq!((a_splits, a_deaths), (r_splits, r_deaths), "{label}");
+                altered.store(&mut got);
+                reference.store(&mut expected);
+                assert_eq!(got, expected, "{label}: stepped");
+            }
+        }
     }
 
     #[test]

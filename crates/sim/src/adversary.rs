@@ -9,9 +9,16 @@
 //! matching is sampled, the adversary receives the full state slice and
 //! returns a list of [`Alteration`]s. The engine enforces the per-round
 //! budget `K` by truncating the list.
+//!
+//! Many strategies decide from aggregates alone (the population size, the
+//! majority epoch round). They may also answer
+//! [`Adversary::act_on_stats`], which lets an engine holding the population
+//! in resident columns decide and apply the round's alterations without
+//! transposing the columns back into a state slice.
 
 use std::fmt;
 
+use crate::metrics::RoundStats;
 use crate::rng::SimRng;
 
 /// One adversarial operation. `Delete` and `Modify` indices refer to the
@@ -61,11 +68,38 @@ pub trait Adversary<S> {
     /// Decides this round's alterations.
     fn act(&mut self, ctx: &RoundContext, agents: &[S], rng: &mut SimRng) -> Vec<Alteration<S>>;
 
+    /// Decides this round's alterations from the population's aggregate
+    /// [`RoundStats`] alone, or declines with `None` — the default.
+    ///
+    /// A strategy whose decision reads nothing of the state slice but what
+    /// `stats` carries (its length is `stats.population`; its majority
+    /// epoch round is `stats.majority_round`) overrides this. A `Some` must
+    /// equal what [`act`](Self::act) returns on any slice whose
+    /// [`RoundStats::observe`] is `stats`, and must leave `self` and `rng`
+    /// exactly as that `act` call would (the same draws consumed). A `None`
+    /// must touch nothing — neither `self` nor `rng` — because the engine
+    /// then materializes the slice and calls `act` instead.
+    ///
+    /// The engine asks this first whenever its population is resident in
+    /// columns ([`ColumnarStep`](crate::ColumnarStep)), and applies a `Some`
+    /// to the columns in place; `Delete`/`Modify` indices refer to the slice
+    /// the columns would store. Wrappers should forward it.
+    fn act_on_stats(
+        &mut self,
+        ctx: &RoundContext,
+        stats: &RoundStats,
+        rng: &mut SimRng,
+    ) -> Option<Vec<Alteration<S>>> {
+        let _ = (ctx, stats, rng);
+        None
+    }
+
     /// Whether `act` is a guaranteed no-op: it never returns alterations,
     /// has no side effects, and does not read the state slice. Engines use
-    /// this to skip materializing `Vec<P::State>` from resident columns on
-    /// the fast path, so override it (as [`NoOpAdversary`] does) only when
-    /// all three guarantees hold.
+    /// this to skip both materializing `Vec<P::State>` from resident
+    /// columns and observing them for [`act_on_stats`](Self::act_on_stats)
+    /// on the fast path, so override it (as [`NoOpAdversary`] does) only
+    /// when all three guarantees hold.
     fn is_noop(&self) -> bool {
         false
     }
@@ -106,6 +140,15 @@ impl<S> Adversary<S> for Box<dyn Adversary<S>> {
         self.as_mut().act(ctx, agents, rng)
     }
 
+    fn act_on_stats(
+        &mut self,
+        ctx: &RoundContext,
+        stats: &RoundStats,
+        rng: &mut SimRng,
+    ) -> Option<Vec<Alteration<S>>> {
+        self.as_mut().act_on_stats(ctx, stats, rng)
+    }
+
     fn is_noop(&self) -> bool {
         self.as_ref().is_noop()
     }
@@ -120,6 +163,15 @@ impl<S> Adversary<S> for Box<dyn Adversary<S> + Send> {
 
     fn act(&mut self, ctx: &RoundContext, agents: &[S], rng: &mut SimRng) -> Vec<Alteration<S>> {
         self.as_mut().act(ctx, agents, rng)
+    }
+
+    fn act_on_stats(
+        &mut self,
+        ctx: &RoundContext,
+        stats: &RoundStats,
+        rng: &mut SimRng,
+    ) -> Option<Vec<Alteration<S>>> {
+        self.as_mut().act_on_stats(ctx, stats, rng)
     }
 
     fn is_noop(&self) -> bool {

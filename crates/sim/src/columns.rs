@@ -24,13 +24,19 @@
 //! from the columns through [`ColumnarStep::observe`] — the engine loads
 //! once, keeps the columns resident for the whole run, and stores once at
 //! the end: the per-round traffic drops from two streams over 24-byte
-//! structs to a handful of compact columns. Whenever something needs the
-//! vector (an observer reading [`EngineView::agents`](crate::EngineView::agents),
-//! a real adversary, a snapshot), the engine materializes it first;
+//! structs to a handful of compact columns. An adversary that decides from
+//! aggregate stats keeps them resident too: the engine hands it the
+//! columns' [`ColumnarStep::observe`] through
+//! [`Adversary::act_on_stats`](crate::Adversary::act_on_stats) and applies
+//! its alterations to the columns in place with [`ColumnarStep::alter`].
+//! Whenever something needs the vector (an observer reading
+//! [`EngineView::agents`](crate::EngineView::agents), an adversary that
+//! reads agent state, a snapshot), the engine materializes it first;
 //! whenever something mutates the vector, the engine reloads the columns
 //! before the next step. See [`Engine`](crate::Engine) for the exact gating
 //! ([`Observer::needs_engine_state`](crate::Observer::needs_engine_state),
-//! [`Adversary::is_noop`](crate::Adversary::is_noop)).
+//! [`Adversary::is_noop`](crate::Adversary::is_noop),
+//! [`Adversary::act_on_stats`](crate::Adversary::act_on_stats)).
 //!
 //! # Determinism contract
 //!
@@ -119,6 +125,26 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     fn observe(&self, round: u64, counts: &mut BTreeMap<u32, usize>) -> Option<RoundStats> {
         let _ = (round, counts);
         None
+    }
+
+    /// Applies one round's adversarial alterations to the resident columns
+    /// in place, or declines with `false` — the default — touching nothing,
+    /// in which case the engine materializes the vector and applies them
+    /// there.
+    ///
+    /// The engine has already enforced the budget and partitioned the
+    /// alterations exactly as it would for the vector: `inserts` are
+    /// appended in order, each `(i, state)` of `modifies` overwrites lane
+    /// `i` (below the pre-alteration length, later entries winning), and
+    /// `deletes` (sorted ascending, deduplicated, below the length after
+    /// the inserts) are then swap-removed in descending order. Inserted and modified lanes are
+    /// written as [`load`](Self::load) would write them; the next
+    /// [`step`](Self::step) runs before any [`store`](Self::store) can see
+    /// them, so a `true` must leave the columns exactly as loading the
+    /// altered vector would.
+    fn alter(&mut self, inserts: &[S], modifies: &[(usize, S)], deletes: &[usize]) -> bool {
+        let _ = (inserts, modifies, deletes);
+        false
     }
 
     /// Current population held in the columns.

@@ -31,6 +31,8 @@
 //! populations their construction shards across the same pool as the step
 //! phase.
 
+use std::collections::BTreeMap;
+
 use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
 use crate::batch::{shard_range, SendPtr, ShardPool};
@@ -85,16 +87,19 @@ pub struct RoundReport {
 /// round-for-round by the `scratch_engine_matches_fresh_allocation_engine`
 /// property test and by the golden-trace fixtures under `tests/golden/`).
 #[derive(Debug)]
-struct RoundScratch<M> {
+struct RoundScratch<S, M> {
     shuffle: Vec<u32>,
     partners: Vec<u32>,
     messages: Vec<Option<M>>,
     splits: Vec<usize>,
     deaths: Vec<usize>,
-    to_delete: Vec<usize>,
+    alterations: AlterationPlan<S>,
+    /// Epoch-round histogram scratch for the stats a resident-path
+    /// adversary decides from ([`ColumnarStep::observe`]).
+    counts: BTreeMap<u32, usize>,
 }
 
-impl<M> Default for RoundScratch<M> {
+impl<S, M> Default for RoundScratch<S, M> {
     fn default() -> Self {
         RoundScratch {
             shuffle: Vec::new(),
@@ -102,7 +107,76 @@ impl<M> Default for RoundScratch<M> {
             messages: Vec::new(),
             splits: Vec::new(),
             deaths: Vec::new(),
-            to_delete: Vec::new(),
+            alterations: AlterationPlan::default(),
+            counts: BTreeMap::new(),
+        }
+    }
+}
+
+/// One round's adversary alterations, budgeted and partitioned into the
+/// three operations both population representations apply alike: the
+/// vector through [`apply_to`](Self::apply_to), resident columns through
+/// [`ColumnarStep::alter`]. Keeping the rules here means the engine's two
+/// adversary paths cannot disagree on them.
+#[derive(Debug)]
+struct AlterationPlan<S> {
+    inserts: Vec<S>,
+    modifies: Vec<(usize, S)>,
+    deletes: Vec<usize>,
+}
+
+impl<S> Default for AlterationPlan<S> {
+    fn default() -> Self {
+        AlterationPlan {
+            inserts: Vec::new(),
+            modifies: Vec::new(),
+            deletes: Vec::new(),
+        }
+    }
+}
+
+impl<S> AlterationPlan<S> {
+    /// Replaces the plan with the first `budget` of `alterations`, in
+    /// order. `Delete` and `Modify` indices refer to the `original_len`
+    /// agents the adversary saw; out-of-range ones are dropped (still
+    /// consuming budget). Inserts keep their order, modifies keep theirs
+    /// (a later overwrite of the same index wins), and deletes end up
+    /// sorted ascending and deduplicated.
+    fn partition(&mut self, alterations: Vec<Alteration<S>>, budget: usize, original_len: usize) {
+        self.inserts.clear();
+        self.modifies.clear();
+        self.deletes.clear();
+        for alt in alterations.into_iter().take(budget) {
+            match alt {
+                // Duplicates are collected here and collapsed by the
+                // sort+dedup below (a repeat delete still consumes budget)
+                // — a per-push `contains` probe made bulk-delete
+                // adversaries O(budget²).
+                Alteration::Delete(i) if i < original_len => self.deletes.push(i),
+                Alteration::Insert(state) => self.inserts.push(state),
+                Alteration::Modify(i, state) if i < original_len => self.modifies.push((i, state)),
+                Alteration::Delete(_) | Alteration::Modify(..) => {}
+            }
+        }
+        self.deletes.sort_unstable();
+        self.deletes.dedup();
+    }
+
+    /// Whether the plan alters nothing.
+    fn is_empty(&self) -> bool {
+        self.inserts.is_empty() && self.modifies.is_empty() && self.deletes.is_empty()
+    }
+
+    /// Applies the plan to `agents`: overwrite the modified slots, append
+    /// the inserts, then swap-remove the deletes in descending order so
+    /// earlier indices stay valid. Drains the insert and modify buffers.
+    fn apply_to(&mut self, agents: &mut Vec<S>) {
+        for (i, state) in self.modifies.drain(..) {
+            agents[i] = state;
+        }
+        agents.append(&mut self.inserts);
+        for &i in self.deletes.iter().rev() {
+            agents.swap_remove(i);
         }
     }
 }
@@ -134,7 +208,7 @@ pub struct Engine<P: Protocol, A: Adversary<P::State> = NoOpAdversary> {
     match_key: u64,
     adv_rng: SimRng,
     halted: Option<HaltReason>,
-    scratch: RoundScratch<P::Message>,
+    scratch: RoundScratch<P::State, P::Message>,
     /// The protocol's columnar state store, installed at construction when
     /// the protocol opts in ([`Protocol::columnar`]). `Some` switches
     /// [`phase_step_serial`](Self::phase_step_serial) and
@@ -283,8 +357,10 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         let scratch = s.shuffle.capacity() * std::mem::size_of::<u32>()
             + s.partners.capacity() * std::mem::size_of::<u32>()
             + s.messages.capacity() * std::mem::size_of::<Option<P::Message>>()
-            + (s.splits.capacity() + s.deaths.capacity() + s.to_delete.capacity())
-                * std::mem::size_of::<usize>();
+            + (s.splits.capacity() + s.deaths.capacity() + s.alterations.deletes.capacity())
+                * std::mem::size_of::<usize>()
+            + s.alterations.inserts.capacity() * std::mem::size_of::<P::State>()
+            + s.alterations.modifies.capacity() * std::mem::size_of::<(usize, P::State)>();
         let columnar = self.columnar.as_ref().map_or(0, |c| c.mem_bytes());
         agents + scratch + columnar
     }
@@ -297,8 +373,8 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         &mut self,
         spec: RunSpec<F>,
         obs: &mut O,
-        scratch: &mut RoundScratch<P::Message>,
-        mut exec: impl FnMut(&mut Self, &mut RoundScratch<P::Message>) -> RoundReport,
+        scratch: &mut RoundScratch<P::State, P::Message>,
+        mut exec: impl FnMut(&mut Self, &mut RoundScratch<P::State, P::Message>) -> RoundReport,
     ) -> RunOutcome
     where
         F: FnMut(&RoundReport) -> bool,
@@ -488,7 +564,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// driver funnels through here; the sharded driver funnels through
     /// [`par_round_impl`](Self::par_round_impl), which differs *only* in how
     /// the step phase is executed.
-    fn round_impl(&mut self, scratch: &mut RoundScratch<P::Message>) -> RoundReport {
+    fn round_impl(&mut self, scratch: &mut RoundScratch<P::State, P::Message>) -> RoundReport {
         let mut report = RoundReport {
             round: self.round,
             population_before: self.live_population(),
@@ -511,33 +587,39 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// computes it.
     fn phase_adversary_and_matching(
         &mut self,
-        scratch: &mut RoundScratch<P::Message>,
+        scratch: &mut RoundScratch<P::State, P::Message>,
         report: &mut RoundReport,
         pool: Option<&ShardPool>,
     ) {
         // Phase 1: adversary (sees everything, blind to the coming matching).
-        // A real adversary must see the authoritative vector; the declared
-        // no-op ([`Adversary::is_noop`]) never reads it, which is what lets
-        // the columnar path keep its columns resident across rounds.
-        if !self.adversary.is_noop() {
-            self.materialize();
-        }
         let ctx = RoundContext {
             round: self.round,
             budget: self.cfg.adversary_budget,
             target: self.cfg.target,
         };
-        let alterations = self.adversary.act(&ctx, &self.agents, &mut self.adv_rng);
-        if !alterations.is_empty() {
-            // An `is_noop` adversary that alters anyway broke its contract
-            // (it acted on a possibly-stale slice); recover coherently.
-            debug_assert!(!self.vec_stale, "is_noop adversary returned alterations");
-            self.materialize();
-            self.apply_alterations(alterations, &mut scratch.to_delete, report);
-            if report.inserted + report.deleted + report.modified > 0 {
-                // The vector changed behind the columns' back.
-                self.cols_valid = false;
+        let alterations = match self.act_resident(&ctx, &mut scratch.counts) {
+            Some(alterations) => alterations,
+            None => {
+                // An adversary that reads agent state must see the
+                // authoritative vector; the declared no-op
+                // ([`Adversary::is_noop`]) never reads it, which is what
+                // lets the columnar path keep its columns resident.
+                if !self.adversary.is_noop() {
+                    self.materialize();
+                }
+                let alterations = self.adversary.act(&ctx, &self.agents, &mut self.adv_rng);
+                // An `is_noop` adversary that alters anyway broke its
+                // contract (it acted on a possibly-stale slice); the
+                // alterations still apply coherently below.
+                debug_assert!(
+                    alterations.is_empty() || !self.vec_stale,
+                    "is_noop adversary returned alterations"
+                );
+                alterations
             }
+        };
+        if !alterations.is_empty() {
+            self.apply_alterations(alterations, &mut scratch.alterations, report);
         }
 
         // Phase 2: matching over survivors.
@@ -556,7 +638,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// Phase 3, serial flavor: simultaneous message exchange, then one step
     /// per agent under its `(round, slot)`-keyed RNG. Messages are composed
     /// from pre-step state for every matched agent.
-    fn phase_step_serial(&mut self, scratch: &mut RoundScratch<P::Message>) {
+    fn phase_step_serial(&mut self, scratch: &mut RoundScratch<P::State, P::Message>) {
         if self.phase_step_columnar(scratch, None) {
             return;
         }
@@ -608,7 +690,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// stepper is installed.
     fn phase_step_columnar(
         &mut self,
-        scratch: &mut RoundScratch<P::Message>,
+        scratch: &mut RoundScratch<P::State, P::Message>,
         pool: Option<&ShardPool>,
     ) -> bool {
         if self.columnar.is_none() {
@@ -638,7 +720,11 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// valid; kills may duplicate an own-death, so dedup first), and check
     /// the halt conditions. After a columnar step the lists are applied to
     /// the resident columns instead — same order, same semantics.
-    fn phase_apply(&mut self, scratch: &mut RoundScratch<P::Message>, report: &mut RoundReport) {
+    fn phase_apply(
+        &mut self,
+        scratch: &mut RoundScratch<P::State, P::Message>,
+        report: &mut RoundReport,
+    ) {
         let RoundScratch { splits, deaths, .. } = scratch;
         deaths.sort_unstable();
         deaths.dedup();
@@ -682,7 +768,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     ///   death lists are sorted + deduped afterwards either way.
     fn phase_step_parallel(
         &mut self,
-        scratch: &mut RoundScratch<P::Message>,
+        scratch: &mut RoundScratch<P::State, P::Message>,
         pool: &ShardPool,
         shard_out: &mut [StepShard],
     ) where
@@ -799,7 +885,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// matches [`round_impl`](Self::round_impl).
     fn par_round_impl(
         &mut self,
-        scratch: &mut RoundScratch<P::Message>,
+        scratch: &mut RoundScratch<P::State, P::Message>,
         pool: &ShardPool,
         shard_out: &mut [StepShard],
     ) -> RoundReport
@@ -823,47 +909,64 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         report
     }
 
-    /// Applies adversary alterations under the budget, in order. `Delete` and
-    /// `Modify` indices refer to the slice the adversary saw; deletions are
-    /// deferred to the end (swap-remove, descending) so indices stay stable,
-    /// and insertions are appended after the original slice.
+    /// The resident arm of phase 1: while the columns hold the only current
+    /// population, ask the adversary to decide from the columns' aggregate
+    /// stats ([`Adversary::act_on_stats`]). `None` — the vector is current,
+    /// the adversary is the no-op, the stepper cannot observe, or the
+    /// adversary declines — leaves the decision to `act` over the vector.
+    fn act_resident(
+        &mut self,
+        ctx: &RoundContext,
+        counts: &mut BTreeMap<u32, usize>,
+    ) -> Option<Vec<Alteration<P::State>>> {
+        if !self.vec_stale || self.adversary.is_noop() {
+            return None;
+        }
+        let stepper = self
+            .columnar
+            .as_ref()
+            .expect("stale vector implies a columnar stepper");
+        let stats = stepper.observe(self.round, counts)?;
+        self.adversary.act_on_stats(ctx, &stats, &mut self.adv_rng)
+    }
+
+    /// Applies adversary alterations under the budget (see
+    /// [`AlterationPlan::partition`]) to whichever representation is
+    /// current: in place in the resident columns when the stepper accepts
+    /// them ([`ColumnarStep::alter`]), otherwise to the vector, which then
+    /// invalidates the columns.
     fn apply_alterations(
         &mut self,
         alterations: Vec<Alteration<P::State>>,
-        to_delete: &mut Vec<usize>,
+        plan: &mut AlterationPlan<P::State>,
         report: &mut RoundReport,
     ) {
-        let original_len = self.agents.len();
-        to_delete.clear();
-        for alt in alterations.into_iter().take(self.cfg.adversary_budget) {
-            match alt {
-                Alteration::Delete(i) => {
-                    // Duplicates are collected here and collapsed by the
-                    // sort+dedup below (a repeat delete still consumes
-                    // budget, exactly as before) — a per-push `contains`
-                    // probe made bulk-delete adversaries O(budget²).
-                    if i < original_len {
-                        to_delete.push(i);
-                    }
-                }
-                Alteration::Insert(state) => {
-                    self.agents.push(state);
-                    report.inserted += 1;
-                }
-                Alteration::Modify(i, state) => {
-                    if i < original_len {
-                        self.agents[i] = state;
-                        report.modified += 1;
-                    }
-                }
+        plan.partition(
+            alterations,
+            self.cfg.adversary_budget,
+            self.live_population(),
+        );
+        report.inserted = plan.inserts.len();
+        report.modified = plan.modifies.len();
+        report.deleted = plan.deletes.len();
+        if plan.is_empty() {
+            return;
+        }
+        if self.vec_stale {
+            let stepper = self
+                .columnar
+                .as_mut()
+                .expect("stale vector implies a columnar stepper");
+            if stepper.alter(&plan.inserts, &plan.modifies, &plan.deletes) {
+                plan.inserts.clear();
+                plan.modifies.clear();
+                return;
             }
+            self.materialize();
         }
-        to_delete.sort_unstable();
-        to_delete.dedup();
-        report.deleted = to_delete.len();
-        for &i in to_delete.iter().rev() {
-            self.agents.swap_remove(i);
-        }
+        plan.apply_to(&mut self.agents);
+        // The vector changed behind the columns' back.
+        self.cols_valid = false;
     }
 }
 
@@ -943,8 +1046,11 @@ mod tests {
     use super::*;
     use crate::agent::{Observable, Observation};
     use crate::matching::MatchingModel;
+    use crate::metrics::RoundStats;
     use crate::protocols::{Inert, InertState};
     use rand::Rng;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// Every matched agent splits once, then goes quiet. Used to test split
     /// application.
@@ -1670,16 +1776,25 @@ mod tests {
     }
 
     /// [`SplitOnce`] with a columnar twin: the `done` flags held resident as
-    /// one `Vec<bool>`. The stepper declines [`ColumnarStep::observe`], so
-    /// it drives stale-vector views and the `round_stats` store fallback.
-    struct ColumnarSplitOnce;
+    /// one `Vec<bool>`. The flags opt the stepper into
+    /// [`ColumnarStep::observe`] and [`ColumnarStep::alter`]; with neither
+    /// (the default) it drives stale-vector views and the `round_stats`
+    /// store fallback.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct ColumnarSplitOnce {
+        observes: bool,
+        alters: bool,
+    }
 
     #[derive(Debug, Default)]
-    struct DoneColumn(Vec<bool>);
+    struct DoneColumn {
+        done: Vec<bool>,
+        hooks: ColumnarSplitOnce,
+    }
 
     impl ColumnarStep<SplitState> for DoneColumn {
         fn load(&mut self, agents: &[SplitState], _pool: Option<&ShardPool>) {
-            self.0 = agents.iter().map(|a| a.done).collect();
+            self.done = agents.iter().map(|a| a.done).collect();
         }
         fn step(
             &mut self,
@@ -1689,7 +1804,7 @@ mod tests {
             splits: &mut Vec<usize>,
             _deaths: &mut Vec<usize>,
         ) {
-            for (i, done) in self.0.iter_mut().enumerate() {
+            for (i, done) in self.done.iter_mut().enumerate() {
                 if !*done && partners[i] != UNMATCHED {
                     *done = true;
                     splits.push(i);
@@ -1698,19 +1813,44 @@ mod tests {
         }
         fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
             for &i in splits {
-                let daughter = self.0[i];
-                self.0.push(daughter);
+                let daughter = self.done[i];
+                self.done.push(daughter);
             }
             for &i in deaths.iter().rev() {
-                self.0.swap_remove(i);
+                self.done.swap_remove(i);
             }
         }
         fn store(&self, agents: &mut Vec<SplitState>) {
             agents.clear();
-            agents.extend(self.0.iter().map(|&done| SplitState { done }));
+            agents.extend(self.done.iter().map(|&done| SplitState { done }));
+        }
+        fn observe(&self, round: u64, counts: &mut BTreeMap<u32, usize>) -> Option<RoundStats> {
+            self.hooks.observes.then(|| {
+                let mut agents = Vec::new();
+                self.store(&mut agents);
+                RoundStats::observe_with(round, &agents, counts)
+            })
+        }
+        fn alter(
+            &mut self,
+            inserts: &[SplitState],
+            modifies: &[(usize, SplitState)],
+            deletes: &[usize],
+        ) -> bool {
+            if !self.hooks.alters {
+                return false;
+            }
+            self.done.extend(inserts.iter().map(|s| s.done));
+            for (i, s) in modifies {
+                self.done[*i] = s.done;
+            }
+            for &i in deletes.iter().rev() {
+                self.done.swap_remove(i);
+            }
+            true
         }
         fn len(&self) -> usize {
-            self.0.len()
+            self.done.len()
         }
     }
 
@@ -1725,7 +1865,10 @@ mod tests {
             SplitOnce.step(s, incoming, rng)
         }
         fn columnar(&self) -> Option<Box<dyn ColumnarStep<SplitState>>> {
-            Some(Box::<DoneColumn>::default())
+            Some(Box::new(DoneColumn {
+                done: Vec::new(),
+                hooks: *self,
+            }))
         }
     }
 
@@ -1748,7 +1891,7 @@ mod tests {
             .matching(MatchingModel::ExactFraction(0.5))
             .build()
             .unwrap();
-        Engine::with_population(ColumnarSplitOnce, cfg, 64)
+        Engine::with_population(ColumnarSplitOnce::default(), cfg, 64)
     }
 
     #[test]
@@ -1791,5 +1934,90 @@ mod tests {
         let stats = run(true);
         assert_eq!(stats, run(false));
         assert!(stats.windows(2).any(|w| w[0].active != w[1].active));
+    }
+
+    /// Decides from the population size alone, through either entry point,
+    /// with sloppy alterations past a budget of 6: a repeated delete,
+    /// out-of-range indices, and a truncated insert. Counts its
+    /// `act_on_stats` decisions.
+    struct StatsChurn(Rc<Cell<usize>>);
+
+    impl StatsChurn {
+        fn decide(n: usize, rng: &mut SimRng) -> Vec<Alteration<SplitState>> {
+            let i = rng.random_range(0..n);
+            vec![
+                Alteration::Delete(i),
+                Alteration::Delete(i),
+                Alteration::Delete(n + 3),
+                Alteration::Modify(n / 2, SplitState { done: false }),
+                Alteration::Modify(n, SplitState { done: true }),
+                Alteration::Insert(SplitState { done: false }),
+                Alteration::Insert(SplitState { done: true }),
+            ]
+        }
+    }
+
+    impl Adversary<SplitState> for StatsChurn {
+        fn name(&self) -> &'static str {
+            "stats-churn"
+        }
+        fn act(
+            &mut self,
+            _c: &RoundContext,
+            agents: &[SplitState],
+            rng: &mut SimRng,
+        ) -> Vec<Alteration<SplitState>> {
+            StatsChurn::decide(agents.len(), rng)
+        }
+        fn act_on_stats(
+            &mut self,
+            _c: &RoundContext,
+            stats: &RoundStats,
+            rng: &mut SimRng,
+        ) -> Option<Vec<Alteration<SplitState>>> {
+            self.0.set(self.0.get() + 1);
+            Some(StatsChurn::decide(stats.population, rng))
+        }
+    }
+
+    #[test]
+    fn stats_only_adversaries_alter_the_columns_or_fall_back_to_the_vector() {
+        const ROUNDS: u64 = 12;
+        let run = |columnar: bool, hooks: ColumnarSplitOnce| {
+            let cfg = SimConfig::builder()
+                .seed(19)
+                .matching(MatchingModel::ExactFraction(0.5))
+                .adversary_budget(6)
+                .build()
+                .unwrap();
+            let resident = Rc::new(Cell::new(0));
+            let adv = StatsChurn(Rc::clone(&resident));
+            let mut engine = Engine::with_adversary(hooks, adv, cfg, 64);
+            engine.set_columnar(columnar);
+            let mut trace = Vec::new();
+            engine.run(
+                RunSpec::rounds(ROUNDS),
+                &mut crate::OnRound(|r: &RoundReport| trace.push(*r)),
+            );
+            let done: Vec<bool> = engine.agents().iter().map(|a| a.done).collect();
+            (trace, done, resident.get())
+        };
+        let scalar = run(false, ColumnarSplitOnce::default());
+        assert_eq!(scalar.2, 0, "no columns, nothing to decide from");
+        assert!(scalar
+            .0
+            .iter()
+            .all(|r| (r.deleted, r.modified, r.inserted) == (1, 1, 1)));
+        assert!(scalar.0.iter().any(|r| r.splits > 0));
+        for (observes, alters) in [(false, false), (true, false), (true, true)] {
+            let columnar = run(true, ColumnarSplitOnce { observes, alters });
+            let label = format!("observes {observes}, alters {alters}");
+            assert_eq!(columnar.0, scalar.0, "{label}");
+            assert_eq!(columnar.1, scalar.1, "{label}");
+            // Round 0 acts on the fresh vector; every later round finds the
+            // columns resident and decides from their stats if they observe.
+            let want = if observes { ROUNDS as usize - 1 } else { 0 };
+            assert_eq!(columnar.2, want, "{label}");
+        }
     }
 }

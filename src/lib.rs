@@ -123,14 +123,19 @@
 //!   (alive/color/phase flags, packed wire bytes) evaluated 64 agents per
 //!   machine word with the lane-batched `_x8` [`CounterRng`](prelude::SimRng)
 //!   kernels. The columns stay *resident* across rounds whenever the
-//!   adversary is a no-op and the observer does not read the agent slice:
-//!   `()`, `OnRound`, and [`RecordStats`](prelude::RecordStats), which
-//!   takes each round's stats straight from the columns (popcounts over
-//!   the flag words, a run-length histogram of the round column), so
-//!   recording the paper's per-round figures costs no transpose. They
-//!   transpose back to the vector only when something actually reads it
-//!   (an observer that reads agents, an acting adversary,
-//!   [`Engine::snapshot`](prelude::Engine),
+//!   observer does not read the agent slice — `()`, `OnRound`, and
+//!   [`RecordStats`](prelude::RecordStats), which takes each round's stats
+//!   straight from the columns (popcounts over the flag words, a
+//!   run-length histogram of the round column), so recording the paper's
+//!   per-round figures costs no transpose — and the adversary is a no-op
+//!   or decides from those stats alone
+//!   ([`Adversary::act_on_stats`](sim::Adversary::act_on_stats): churn,
+//!   bulk deletion and insertion, clock-skew insertion, color flooding,
+//!   deviation amplification, trauma, and their per-epoch throttles), in
+//!   which case its alterations are written into the columns in place.
+//!   They transpose back to the vector only when something actually reads
+//!   it (an observer that reads agents, an adversary that reads agent
+//!   state such as the leader sniper, [`Engine::snapshot`](prelude::Engine),
 //!   [`Engine::agents`](prelude::Engine)). There is no switch to turn it
 //!   on: scenarios, forks, restores and the CLI all get it.
 //! * **Bit-for-bit identical, by construction and by gate.** Batching can

@@ -2,11 +2,12 @@
 //! to the scalar `Protocol::step` loop on the paper's protocol.
 //!
 //! The columnar store keeps the population resident across rounds on the
-//! fast path (`()`/`OnRound`/`RecordStats` observers, no-op adversary) and
-//! transposes back on demand, so these properties drive every gating
-//! decision the engine makes: long resident stretches, per-round
-//! materialization for an observer that reads the agents, column reloads
-//! after adversarial churn, and
+//! fast path (`()`/`OnRound`/`RecordStats` observers; the no-op adversary
+//! or one deciding from aggregate stats, whose alterations land in the
+//! columns in place) and transposes back on demand, so these properties
+//! drive every gating decision the engine makes: long resident stretches,
+//! per-round materialization for an observer or adversary that reads the
+//! agents, column reloads after alterations applied to the vector, and
 //! snapshot/restore through the columnar path — comparing per-round
 //! reports, the per-round `RecordStats` figures (taken straight from the
 //! resident columns on the columnar side), the **full agent state vector**
@@ -24,7 +25,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use population_stability::adversary::{Trauma, TraumaKind};
+use population_stability::adversary::{
+    attack_suite, throttled_suite, Churn, LeaderSniper, Trauma, TraumaKind,
+};
 use population_stability::core::state::AgentState;
 use population_stability::core::Message;
 use population_stability::prelude::*;
@@ -161,6 +164,51 @@ proptest! {
         }
     }
 
+    /// Every suite strategy, raw and metered per epoch, plus both trauma
+    /// kinds: stats-only strategies decide from the resident columns and
+    /// alter them in place; the rest materialize the vector, act on it,
+    /// and reload. Either way the trajectory must equal the scalar loop's.
+    #[test]
+    fn columnar_runs_under_every_strategy_bit_identical_to_scalar(
+        seed in 0u64..1000,
+        rounds in 1u64..200,
+        workers in 2usize..5,
+        k in 1usize..6,
+        bounded in any::<bool>(),
+        trauma_at in 0u64..200,
+    ) {
+        let params = Params::for_target(TARGET).unwrap();
+        let strategies = || {
+            let mut all = attack_suite(&params, k);
+            all.extend(throttled_suite(&params, k));
+            for kind in [TraumaKind::Injury, TraumaKind::Proliferation] {
+                all.push(Box::new(Trauma::new(params.clone(), kind, 0.3, trauma_at)));
+            }
+            all
+        };
+        let cfg = SimConfig::builder()
+            .seed(seed)
+            .target(TARGET)
+            .adversary_budget(if bounded { k } else { SimConfig::UNBOUNDED_BUDGET })
+            .build()
+            .unwrap();
+        for threads in [Threads::Serial, Threads::Sharded(workers)] {
+            for (scalar_adv, columnar_adv) in strategies().into_iter().zip(strategies()) {
+                let name = scalar_adv.name();
+                let engine = |adv| {
+                    let protocol = PopulationStability::new(params.clone());
+                    Engine::with_adversary(protocol, adv, cfg.clone(), TARGET as usize)
+                };
+                let scalar = fingerprint(engine(scalar_adv), false, rounds, threads);
+                let columnar = fingerprint(engine(columnar_adv), true, rounds, threads);
+                prop_assert_eq!(&scalar.0, &columnar.0, "{} report traces diverged", name);
+                prop_assert_eq!(&scalar.1, &columnar.1, "{} agent vectors diverged", name);
+                prop_assert_eq!(scalar.2, columnar.2);
+                prop_assert_eq!(&scalar.3, &columnar.3, "{} snapshot bytes diverged", name);
+            }
+        }
+    }
+
     /// Adversarial runs: every round materializes the vector for the
     /// adversary and reloads the columns after its alterations, so the
     /// load/store transposes round-trip mid-run, not just at the edges.
@@ -202,17 +250,32 @@ fn columnar_recorded_stats_match_scalar() {
     assert_eq!(run(false), run(true));
 }
 
-/// The paper's protocol behind a columnar stepper that counts its `store`
-/// calls and forwards everything else, `observe` included.
+/// How often a [`StoreCounter`] transposed each way.
+#[derive(Debug, Default)]
+struct Transposes {
+    loads: AtomicUsize,
+    stores: AtomicUsize,
+}
+
+impl Transposes {
+    /// `(loads, stores)` since the last take, resetting both.
+    fn take(&self) -> (usize, usize) {
+        (self.loads.swap(0, Relaxed), self.stores.swap(0, Relaxed))
+    }
+}
+
+/// The paper's protocol behind a columnar stepper that counts its `load`
+/// and `store` calls and forwards everything else, `observe` and `alter`
+/// included.
 struct CountingStores {
     inner: PopulationStability,
-    stores: Arc<AtomicUsize>,
+    counts: Arc<Transposes>,
 }
 
 #[derive(Debug)]
 struct StoreCounter {
     inner: Box<dyn ColumnarStep<AgentState>>,
-    stores: Arc<AtomicUsize>,
+    counts: Arc<Transposes>,
 }
 
 impl Protocol for CountingStores {
@@ -234,13 +297,14 @@ impl Protocol for CountingStores {
     fn columnar(&self) -> Option<Box<dyn ColumnarStep<AgentState>>> {
         Some(Box::new(StoreCounter {
             inner: self.inner.columnar()?,
-            stores: Arc::clone(&self.stores),
+            counts: Arc::clone(&self.counts),
         }))
     }
 }
 
 impl ColumnarStep<AgentState> for StoreCounter {
     fn load(&mut self, agents: &[AgentState], pool: Option<&ShardPool>) {
+        self.counts.loads.fetch_add(1, Relaxed);
         self.inner.load(agents, pool);
     }
 
@@ -260,7 +324,7 @@ impl ColumnarStep<AgentState> for StoreCounter {
     }
 
     fn store(&self, agents: &mut Vec<AgentState>) {
-        self.stores.fetch_add(1, Relaxed);
+        self.counts.stores.fetch_add(1, Relaxed);
         self.inner.store(agents);
     }
 
@@ -268,9 +332,38 @@ impl ColumnarStep<AgentState> for StoreCounter {
         self.inner.observe(round, counts)
     }
 
+    fn alter(
+        &mut self,
+        inserts: &[AgentState],
+        modifies: &[(usize, AgentState)],
+        deletes: &[usize],
+    ) -> bool {
+        self.inner.alter(inserts, modifies, deletes)
+    }
+
     fn len(&self) -> usize {
         self.inner.len()
     }
+}
+
+/// A [`CountingStores`] engine at the test target, seed 3.
+fn counting_engine<A: Adversary<AgentState>>(
+    adversary: A,
+    budget: usize,
+    counts: &Arc<Transposes>,
+) -> Engine<CountingStores, A> {
+    let params = Params::for_target(TARGET).unwrap();
+    let cfg = SimConfig::builder()
+        .seed(3)
+        .target(TARGET)
+        .adversary_budget(budget)
+        .build()
+        .unwrap();
+    let protocol = CountingStores {
+        inner: PopulationStability::new(params),
+        counts: Arc::clone(counts),
+    };
+    Engine::with_adversary(protocol, adversary, cfg, TARGET as usize)
 }
 
 /// An observer that reads the agent slice, so it keeps the default
@@ -290,31 +383,55 @@ impl<P: Protocol> Observer<P> for ReadsAgents {
 #[test]
 fn record_stats_keeps_the_columns_resident() {
     const ROUNDS: u64 = 40;
-    let stores = Arc::new(AtomicUsize::new(0));
-    let engine = || {
-        let params = Params::for_target(TARGET).unwrap();
-        let cfg = SimConfig::builder().seed(3).target(TARGET).build().unwrap();
-        let protocol = CountingStores {
-            inner: PopulationStability::new(params),
-            stores: Arc::clone(&stores),
-        };
-        Engine::with_population(protocol, cfg, TARGET as usize)
-    };
+    let counts = Arc::new(Transposes::default());
+    let engine = || counting_engine(NoOpAdversary, 0, &counts);
 
     let mut rec = MetricsRecorder::new();
     engine().run(RunSpec::rounds(ROUNDS), &mut RecordStats::new(&mut rec));
     assert_eq!(rec.len() as u64, ROUNDS);
-    assert_eq!(stores.swap(0, Relaxed), 1, "RecordStats alone");
+    assert_eq!(counts.take().1, 1, "RecordStats alone");
 
     let mut rec = MetricsRecorder::new();
     let mut obs = Tee(RecordStats::new(&mut rec), ReadsAgents(0));
     engine().run(RunSpec::rounds(ROUNDS), &mut obs);
     assert!(obs.1 .0 > 0);
     assert_eq!(
-        stores.load(Relaxed) as u64,
+        counts.take().1 as u64,
         ROUNDS,
         "RecordStats + agents reader"
     );
+}
+
+/// A stats-only adversary keeps the columns resident too: `Churn` decides
+/// from the columns' stats and alters them in place, so a run loads once
+/// (round 0's alterations land on the fresh vector) and stores once (the
+/// final materialize). `LeaderSniper` reads agent state, so every round
+/// it snipes still stores the vector for it and reloads after it.
+#[test]
+fn stats_only_adversaries_keep_the_columns_resident() {
+    let params = Params::for_target(TARGET).unwrap();
+    let counts = Arc::new(Transposes::default());
+    fn run<A: Adversary<AgentState>>(
+        mut engine: Engine<CountingStores, A>,
+        rounds: u64,
+    ) -> Vec<RoundReport> {
+        let mut trace = Vec::new();
+        engine.run(
+            RunSpec::rounds(rounds),
+            &mut OnRound(|r: &RoundReport| trace.push(*r)),
+        );
+        trace
+    }
+
+    let trace = run(counting_engine(Churn::new(params, 4), 4, &counts), 40);
+    assert!(trace.iter().all(|r| r.inserted == 2 && r.deleted == 2));
+    assert_eq!(counts.take(), (1, 1), "Churn");
+
+    // Seed 3 selects three leaders in round 0; one is sniped per round.
+    let trace = run(counting_engine(LeaderSniper::new(1, None), 1, &counts), 4);
+    assert!(trace[1..].iter().all(|r| r.deleted == 1), "{trace:?}");
+    let rounds = trace.len();
+    assert_eq!(counts.take(), (rounds, rounds), "LeaderSniper");
 }
 
 /// Snapshot mid-run on the columnar path, restore, continue columnar: the
