@@ -40,9 +40,7 @@ struct Case {
 
 fn run_baseline<P, A>(proto: P, adv: A, budget: usize, rounds: u64, seed: u64) -> Row
 where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-    P::Message: Send,
+    P: Protocol,
     A: Adversary<P::State>,
 {
     let cfg = SimConfig::builder()

@@ -452,9 +452,6 @@ impl<P: Protocol, A: Adversary<P::State>> Scenario<P, A> {
     /// returning the engine (for state inspection) and the outcome.
     pub fn run<F, O>(self, spec: RunSpec<F>, obs: &mut O) -> (Engine<P, A>, RunOutcome)
     where
-        P: Sync,
-        P::State: Send + Sync,
-        P::Message: Send,
         F: FnMut(&RoundReport) -> bool,
         O: Observer<P>,
     {
@@ -507,8 +504,7 @@ impl<P: Protocol, A: Adversary<P::State>> Scenario<P, A> {
     ) -> Vec<R>
     where
         P: Clone + Send + Sync,
-        P::State: SnapshotState + Send + Sync,
-        P::Message: Send,
+        P::State: SnapshotState,
         B: Adversary<P::State> + Send,
         R: Send,
         F: Fn(usize, Engine<P, B>) -> R + Sync,
@@ -784,9 +780,10 @@ impl ShardPool {
             "concurrent ShardPool::dispatch calls on one pool"
         );
         {
-            // SAFETY (lifetime erasure): the pointer is only dereferenced by
-            // workers between this publication and the `outstanding == 0`
-            // wait below, during which `body` is borrowed by `self`.
+            // SAFETY: this only erases the lifetime of `body`. Workers
+            // dereference the erased pointer only between this publication
+            // and the `outstanding == 0` wait below, and `body` stays
+            // borrowed for the whole of this call.
             let erased: &'static (dyn Fn(usize) + Sync) =
                 unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(body) };
             let mut st = self.state();

@@ -13,10 +13,12 @@
 //!
 //! # Residency: who owns the state
 //!
-//! A [`ColumnarStep`] is a *second representation* of the population, and
-//! the engine tracks which side is current. [`ColumnarStep::load`]
-//! transposes `Vec<P::State>` into the columns; [`ColumnarStep::step`]
-//! and [`ColumnarStep::apply`] then advance the columns round after round
+//! A [`ColumnarStep`] is a *second representation* of the population,
+//! next to the agent vector the engine materializes on demand. The engine
+//! holds both in one place and tracks which is current: the vector only,
+//! both, or the columns only. [`ColumnarStep::load`] transposes
+//! `Vec<P::State>` into the columns; [`ColumnarStep::step`] and
+//! [`ColumnarStep::apply`] then advance the columns round after round
 //! **without touching the vector**; [`ColumnarStep::store`] transposes
 //! back on demand. With a no-op adversary and an observer that does not
 //! read the agent slice — `()`, [`OnRound`](crate::OnRound), and
@@ -32,11 +34,12 @@
 //! Whenever something needs the vector (an observer reading
 //! [`EngineView::agents`](crate::EngineView::agents), an adversary that
 //! reads agent state, a snapshot), the engine materializes it first;
-//! whenever something mutates the vector, the engine reloads the columns
-//! before the next step. See [`Engine`](crate::Engine) for the exact gating
-//! ([`Observer::needs_engine_state`](crate::Observer::needs_engine_state),
-//! [`Adversary::is_noop`](crate::Adversary::is_noop),
-//! [`Adversary::act_on_stats`](crate::Adversary::act_on_stats)).
+//! whenever something mutates the vector (including alterations a stepper
+//! declines in [`ColumnarStep::alter`]), the engine reloads the columns
+//! before the next step. The gates are
+//! [`Observer::needs_engine_state`](crate::Observer::needs_engine_state),
+//! [`Adversary::is_noop`](crate::Adversary::is_noop) and
+//! [`Adversary::act_on_stats`](crate::Adversary::act_on_stats).
 //!
 //! # Determinism contract
 //!
@@ -47,10 +50,12 @@
 //! resident rounds must leave `Vec<P::State>`, the split/death lists, and
 //! therefore traces, snapshots (format v2) and golden fixtures
 //! bit-identical to the scalar path. Every engine whose protocol offers a
-//! stepper runs on it; a hidden `Engine::set_columnar(false)` hook forces
-//! the scalar loop so `tests/columnar_equivalence.rs` can pin the two
-//! paths against each other over random `(seed, rounds, workers)` and at
-//! `N = 2^20`.
+//! stepper runs on it; a protocol without one steps through the engine's
+//! serial row stepper, the scalar [`Protocol::step`] loop over the vector.
+//! A hidden `Engine::set_columnar(false)` hook installs that row stepper
+//! for a columnar protocol too, so `tests/columnar_equivalence.rs` can pin
+//! the two independent implementations against each other over random
+//! `(seed, rounds, workers)` and at `N = 2^20`.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -224,7 +224,7 @@ impl<'a, P: Protocol> EngineView<'a, P> {
         assert!(
             self.stale_columns.is_none(),
             "EngineView::agents read a stale vector: the observer declared \
-             needs_engine_state() == false"
+             needs_engine_state() == false, or a run unwound mid-round"
         );
         self.agents
     }

@@ -20,22 +20,26 @@
 //! observer concern ([`RecordStats`](crate::RecordStats)); the engine
 //! itself holds no metrics.
 //!
+//! Every round runs one path: the adversary and the matching, then the
+//! population holder's `step` and `apply`. The holder is either the
+//! protocol's [`ColumnarStep`] or, for a protocol without one, the scalar
+//! [`Protocol::step`] loop over a plain agent vector.
+//!
 //! Agent randomness is **counter-based** (see [`crate::rng::counter_seed`]):
 //! agent slot `s` in round `r` flips coins from a stateless stream keyed on
 //! `(seed, r, s)`, so the step phase has no serial RNG dependency between
-//! agents and can be sharded across threads
-//! ([`Threads::Sharded`]) with results
-//! bit-identical to the serial paths for every worker count. The matching
-//! is counter-keyed the same way (see [`crate::matching`]): round `r`'s
-//! pairs are a pure function of `round_key(match_key, r)`, and for large
-//! populations their construction shards across the same pool as the step
-//! phase.
+//! agents and a columnar stepper can shard it across threads
+//! ([`Threads::Sharded`]) with results bit-identical to the serial path for
+//! every worker count. The matching is counter-keyed the same way (see
+//! [`crate::matching`]): round `r`'s pairs are a pure function of
+//! `round_key(match_key, r)`, and for large populations their construction
+//! shards across the same pool.
 
 use std::collections::BTreeMap;
 
 use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
-use crate::batch::{shard_range, SendPtr, ShardPool};
+use crate::batch::ShardPool;
 use crate::columns::ColumnarStep;
 use crate::config::SimConfig;
 use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop, Threads};
@@ -80,17 +84,16 @@ pub struct RoundReport {
 /// Persistent per-round working memory.
 ///
 /// The engine's round loop needs several population-sized buffers (the
-/// matching's partner table and shuffle scratch, the simultaneous message
-/// snapshot, the split/death work lists). Allocating them fresh every
-/// round dominated the hot path at large `N`, so they live here and are
-/// reused; buffer reuse is invisible to the simulation semantics (asserted
-/// round-for-round by the `scratch_engine_matches_fresh_allocation_engine`
-/// property test and by the golden-trace fixtures under `tests/golden/`).
+/// matching's partner table and shuffle scratch, the split/death work
+/// lists). Allocating them fresh every round dominated the hot path at
+/// large `N`, so they live here and are reused; buffer reuse is invisible
+/// to the simulation semantics (asserted round-for-round by the
+/// `scratch_engine_matches_fresh_allocation_engine` property test and by
+/// the golden-trace fixtures under `tests/golden/`).
 #[derive(Debug)]
-struct RoundScratch<S, M> {
+struct RoundScratch<S> {
     shuffle: Vec<u32>,
     partners: Vec<u32>,
-    messages: Vec<Option<M>>,
     splits: Vec<usize>,
     deaths: Vec<usize>,
     alterations: AlterationPlan<S>,
@@ -99,12 +102,11 @@ struct RoundScratch<S, M> {
     counts: BTreeMap<u32, usize>,
 }
 
-impl<S, M> Default for RoundScratch<S, M> {
+impl<S> Default for RoundScratch<S> {
     fn default() -> Self {
         RoundScratch {
             shuffle: Vec::new(),
             partners: Vec::new(),
-            messages: Vec::new(),
             splits: Vec::new(),
             deaths: Vec::new(),
             alterations: AlterationPlan::default(),
@@ -181,22 +183,250 @@ impl<S> AlterationPlan<S> {
     }
 }
 
-/// Per-shard output of the parallel step phase: the split/death work lists
-/// one shard's slot range produced. Merged into the round scratch in shard
-/// (= slot) order, so the merged lists match the serial step loop's.
-#[derive(Debug, Default)]
-struct StepShard {
-    splits: Vec<usize>,
-    deaths: Vec<usize>,
+/// The scalar step phase over a plain agent vector: what a protocol
+/// without a columnar stepper runs, and what the hidden
+/// [`Engine::set_columnar`]`(false)` forces. Always serial; only the
+/// matching before it shards.
+#[derive(Debug)]
+struct RowStep<S, M> {
+    agents: Vec<S>,
+    /// The simultaneous message snapshot, reused across rounds.
+    messages: Vec<Option<M>>,
+}
+
+impl<S: Clone, M> RowStep<S, M> {
+    /// Simultaneous message exchange, then one step per agent under its
+    /// `(round, slot)`-keyed RNG. Messages are composed from pre-step state
+    /// for every matched agent; splits and deaths are pushed in slot order.
+    fn step<P: Protocol<State = S, Message = M>>(
+        &mut self,
+        protocol: &P,
+        partners: &[u32],
+        round_key: u64,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        let RowStep { agents, messages } = self;
+        messages.clear();
+        messages.extend(partners.iter().map(|&p| {
+            if p == UNMATCHED {
+                None
+            } else {
+                Some(protocol.message(&agents[p as usize]))
+            }
+        }));
+        for (i, incoming) in messages.iter().enumerate() {
+            let mut rng = slot_rng(round_key, i as u64);
+            match protocol.step(&mut agents[i], incoming.as_ref(), &mut rng) {
+                Action::Continue => {}
+                Action::Split => splits.push(i),
+                Action::Die => deaths.push(i),
+                // Extended model (§1.2): remove the matched partner. A
+                // kill and a same-round split of the victim both take
+                // effect: the daughter survives, the victim does not.
+                Action::KillPartner => {
+                    let j = partners[i];
+                    if j != UNMATCHED {
+                        deaths.push(j as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Appends a copy of each splitting agent, then swap-removes the deaths
+    /// (sorted, deduplicated) in descending order so earlier indices stay
+    /// valid — the semantics [`ColumnarStep::apply`] mirrors.
+    fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
+        for &i in splits {
+            let daughter = self.agents[i].clone();
+            self.agents.push(daughter);
+        }
+        for &i in deaths.iter().rev() {
+            self.agents.swap_remove(i);
+        }
+    }
+}
+
+/// Which copy of a columnar population is current.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Residency {
+    /// Only the vector: the columns reload from it before the next step.
+    Vector,
+    /// Both copies agree.
+    Both,
+    /// Only the columns: the vector is stale until stored back.
+    Columns,
+}
+
+/// The engine's population and the one stepper that advances it.
+#[derive(Debug)]
+enum Stepper<S, M> {
+    /// A protocol without a columnar stepper: the vector is the only copy.
+    Rows(RowStep<S, M>),
+    /// The protocol's resident columns plus the materialized vector, with
+    /// `residency` naming which of the two is current. The columns load
+    /// lazily, on the first step after the vector changed.
+    Columns {
+        columns: Box<dyn ColumnarStep<S>>,
+        agents: Vec<S>,
+        residency: Residency,
+    },
+}
+
+impl<S: Clone, M> Stepper<S, M> {
+    /// Holds `agents` on `columns` when the protocol offers them, else on
+    /// the scalar loop.
+    fn new(agents: Vec<S>, columns: Option<Box<dyn ColumnarStep<S>>>) -> Self {
+        match columns {
+            Some(columns) => Stepper::Columns {
+                columns,
+                agents,
+                residency: Residency::Vector,
+            },
+            None => Stepper::Rows(RowStep {
+                agents,
+                messages: Vec::new(),
+            }),
+        }
+    }
+
+    /// The agent vector, current or not.
+    fn vector(&self) -> &Vec<S> {
+        match self {
+            Stepper::Rows(rows) => &rows.agents,
+            Stepper::Columns { agents, .. } => agents,
+        }
+    }
+
+    /// The resident columns while they hold the only current copy.
+    fn stale_columns(&self) -> Option<&dyn ColumnarStep<S>> {
+        match self {
+            Stepper::Columns {
+                columns,
+                residency: Residency::Columns,
+                ..
+            } => Some(columns.as_ref()),
+            _ => None,
+        }
+    }
+
+    /// The live population, read from whichever copy is current.
+    fn len(&self) -> usize {
+        self.stale_columns()
+            .map_or_else(|| self.vector().len(), |c| c.len())
+    }
+
+    /// Stores the columns into the vector if only the columns are current.
+    fn materialize(&mut self) {
+        if let Stepper::Columns {
+            columns,
+            agents,
+            residency: residency @ Residency::Columns,
+        } = self
+        {
+            columns.store(agents);
+            *residency = Residency::Both;
+        }
+    }
+
+    /// The current agent vector, for mutation: materialized first, and the
+    /// columns marked for a reload before the next step.
+    fn vector_mut(&mut self) -> &mut Vec<S> {
+        self.materialize();
+        match self {
+            Stepper::Rows(rows) => &mut rows.agents,
+            Stepper::Columns {
+                agents, residency, ..
+            } => {
+                *residency = Residency::Vector;
+                agents
+            }
+        }
+    }
+
+    /// The step phase: advances every agent one round against `partners`
+    /// and pushes the split and death slots in slot order. Columns reload
+    /// first if the vector changed, and stay the only current copy after.
+    fn step<P: Protocol<State = S, Message = M>>(
+        &mut self,
+        protocol: &P,
+        partners: &[u32],
+        round_key: u64,
+        pool: Option<&ShardPool>,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        match self {
+            Stepper::Rows(rows) => rows.step(protocol, partners, round_key, splits, deaths),
+            Stepper::Columns {
+                columns,
+                agents,
+                residency,
+            } => {
+                if *residency == Residency::Vector {
+                    columns.load(agents, pool);
+                }
+                columns.step(partners, round_key, pool, splits, deaths);
+                *residency = Residency::Columns;
+            }
+        }
+    }
+
+    /// Applies the step's splits, then its deaths (sorted, deduplicated).
+    fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
+        match self {
+            Stepper::Rows(rows) => rows.apply(splits, deaths),
+            Stepper::Columns { columns, .. } => columns.apply(splits, deaths),
+        }
+    }
+
+    /// Applies a non-empty alteration plan to the current copy: in place in
+    /// resident columns when they accept it ([`ColumnarStep::alter`]),
+    /// otherwise to the vector, which the columns reload from before the
+    /// next step.
+    fn alter(&mut self, plan: &mut AlterationPlan<S>) {
+        if let Stepper::Columns {
+            columns,
+            residency: Residency::Columns,
+            ..
+        } = self
+        {
+            if columns.alter(&plan.inserts, &plan.modifies, &plan.deletes) {
+                plan.inserts.clear();
+                plan.modifies.clear();
+                return;
+            }
+        }
+        plan.apply_to(self.vector_mut());
+    }
+
+    /// Approximate resident bytes of the vector, the row step's message
+    /// buffer and the columns.
+    fn mem_bytes(&self) -> usize {
+        let agents = self.vector().capacity() * std::mem::size_of::<S>();
+        agents
+            + match self {
+                Stepper::Rows(rows) => rows.messages.capacity() * std::mem::size_of::<Option<M>>(),
+                Stepper::Columns { columns, .. } => columns.mem_bytes(),
+            }
+    }
 }
 
 /// A running simulation: population, protocol, adversary, RNG streams.
+///
+/// The population lives in one holder with one stepper. A protocol that
+/// offers a columnar stepper ([`Protocol::columnar`]) keeps its agents
+/// resident as columns, which shard the step phase across a
+/// [`Threads::Sharded`] pool; any other protocol steps serially through
+/// [`Protocol::step`] over a plain vector, with only its matching sharded.
+/// Both produce the same trajectory for every worker count, and both are
+/// invisible to observers, adversaries, traces and snapshots.
 #[derive(Debug)]
 pub struct Engine<P: Protocol, A: Adversary<P::State> = NoOpAdversary> {
     protocol: P,
     adversary: A,
     cfg: SimConfig,
-    agents: Vec<P::State>,
     round: u64,
     /// Master key of the counter-based agent randomness: agent `slot`'s
     /// coin flips in round `r` are `slot_rng(round_key(agent_key, r), slot)`
@@ -208,26 +438,10 @@ pub struct Engine<P: Protocol, A: Adversary<P::State> = NoOpAdversary> {
     match_key: u64,
     adv_rng: SimRng,
     halted: Option<HaltReason>,
-    scratch: RoundScratch<P::State, P::Message>,
-    /// The protocol's columnar state store, installed at construction when
-    /// the protocol opts in ([`Protocol::columnar`]). `Some` switches
-    /// [`phase_step_serial`](Self::phase_step_serial) and
-    /// [`phase_step_parallel`](Self::phase_step_parallel) onto the
-    /// struct-of-arrays path — bit-identical by the determinism contract of
-    /// [`crate::columns`], so it is invisible to observers, adversaries,
-    /// traces, and snapshots. The columns hold the population *resident*
-    /// across rounds; the two flags below track which representation is
-    /// current.
-    columnar: Option<Box<dyn ColumnarStep<P::State>>>,
-    /// Whether the stepper's columns mirror the authoritative population
-    /// (a columnar step may run without re-transposing `agents`). Cleared
-    /// whenever the vector is mutated behind the columns' back.
-    cols_valid: bool,
-    /// Whether `agents` is stale relative to the columns (a columnar step
-    /// ran and nothing has materialized the vector since). Invariant:
-    /// `vec_stale` implies `cols_valid` and `columnar.is_some()`; always
-    /// false outside [`Engine::run`].
-    vec_stale: bool,
+    scratch: RoundScratch<P::State>,
+    /// The population and its stepper. Outside [`Engine::run`] the vector
+    /// is always current.
+    stepper: Stepper<P::State, P::Message>,
 }
 
 impl<P: Protocol> Engine<P, NoOpAdversary> {
@@ -243,42 +457,53 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         // Initial states draw from a sequential stream (construction is not
         // a round and runs once); per-round agent flips use the counter key.
         let mut init_rng = derive_stream(cfg.seed, "agents");
-        let agent_key = derive_seed(cfg.seed, "agent-counter");
-        let match_key = derive_seed(cfg.seed, "matching");
         let adv_rng = derive_stream(cfg.seed, "adversary");
         let agents = (0..population)
             .map(|_| protocol.initial_state(&mut init_rng))
             .collect();
-        let columnar = protocol.columnar();
+        Engine::assemble(protocol, adversary, cfg, agents, 0, adv_rng, None)
+    }
+
+    /// The one constructor behind [`with_adversary`](Self::with_adversary)
+    /// and [`restore`](Self::restore): re-derives the per-round keys from
+    /// the seed and installs the protocol's stepper.
+    fn assemble(
+        protocol: P,
+        adversary: A,
+        cfg: SimConfig,
+        agents: Vec<P::State>,
+        round: u64,
+        adv_rng: SimRng,
+        halted: Option<HaltReason>,
+    ) -> Self {
+        let stepper = Stepper::new(agents, protocol.columnar());
         Engine {
+            agent_key: derive_seed(cfg.seed, "agent-counter"),
+            match_key: derive_seed(cfg.seed, "matching"),
             protocol,
             adversary,
             cfg,
-            agents,
-            round: 0,
-            agent_key,
-            match_key,
+            round,
             adv_rng,
-            halted: None,
+            halted,
             scratch: RoundScratch::default(),
-            columnar,
-            cols_valid: false,
-            vec_stale: false,
+            stepper,
         }
     }
 
     /// Current population size.
     pub fn population(&self) -> usize {
-        self.live_population()
+        self.stepper.len()
     }
 
     /// Read access to all agent states (what the adversary sees).
+    ///
+    /// # Panics
+    ///
+    /// After a panic unwound out of [`Engine::run`] mid-round, which can
+    /// leave the resident columns the only current copy.
     pub fn agents(&self) -> &[P::State] {
-        debug_assert!(
-            !self.vec_stale,
-            "agent vector read while stale (engine failed to materialize)"
-        );
-        &self.agents
+        self.view().agents()
     }
 
     /// The protocol being executed.
@@ -304,82 +529,108 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// Whether the step phase currently runs on the columnar
     /// (struct-of-arrays) path.
     pub fn columnar_enabled(&self) -> bool {
-        self.columnar.is_some()
+        matches!(self.stepper, Stepper::Columns { .. })
     }
 
-    /// Forces the scalar [`Protocol::step`] loop (`false`) or reinstalls the
-    /// protocol's columnar stepper (`true`, the construction default). Both
+    /// Installs the serial row stepper, the scalar [`Protocol::step`] loop
+    /// (`false`), or reinstalls the protocol's columnar stepper (`true`,
+    /// the construction default). Both
     /// paths produce the same trajectory by the determinism contract of
     /// [`crate::columns`]; this hook exists only so the equivalence tests
     /// and the scalar-vs-columnar bench can pin them against each other.
     #[doc(hidden)]
     pub fn set_columnar(&mut self, enabled: bool) {
-        self.materialize();
-        self.cols_valid = false;
-        self.columnar = if enabled {
+        let agents = std::mem::take(self.stepper.vector_mut());
+        let columns = if enabled {
             self.protocol.columnar()
         } else {
             None
         };
-    }
-
-    /// Transposes the resident columns back into `agents` if a columnar
-    /// step left the vector stale, restoring the `vec_stale == false`
-    /// invariant every public accessor relies on.
-    fn materialize(&mut self) {
-        if self.vec_stale {
-            let stepper = self
-                .columnar
-                .as_ref()
-                .expect("stale vector implies a columnar stepper");
-            stepper.store(&mut self.agents);
-            self.vec_stale = false;
-        }
-    }
-
-    /// The live population, read from whichever representation is current.
-    fn live_population(&self) -> usize {
-        if self.vec_stale {
-            self.columnar.as_ref().map_or(0, |c| c.len())
-        } else {
-            self.agents.len()
-        }
+        self.stepper = Stepper::new(agents, columns);
     }
 
     /// Approximate resident bytes of the simulation state: the agent
-    /// vector, the reusable round scratch, and the columnar stepper's
-    /// retained column buffers. Capacities (not lengths) are counted where
-    /// available — this is the figure behind the bench harness's
-    /// `mem_bytes_per_agent`.
+    /// vector, the reusable round scratch, and the stepper's retained
+    /// buffers. Capacities (not lengths) are counted where available — this
+    /// is the figure behind the bench harness's `mem_bytes_per_agent`.
     pub fn approx_mem_bytes(&self) -> usize {
-        let agents = self.agents.capacity() * std::mem::size_of::<P::State>();
         let s = &self.scratch;
         let scratch = s.shuffle.capacity() * std::mem::size_of::<u32>()
             + s.partners.capacity() * std::mem::size_of::<u32>()
-            + s.messages.capacity() * std::mem::size_of::<Option<P::Message>>()
             + (s.splits.capacity() + s.deaths.capacity() + s.alterations.deletes.capacity())
                 * std::mem::size_of::<usize>()
             + s.alterations.inserts.capacity() * std::mem::size_of::<P::State>()
             + s.alterations.modifies.capacity() * std::mem::size_of::<(usize, P::State)>();
-        let columnar = self.columnar.as_ref().map_or(0, |c| c.mem_bytes());
-        agents + scratch + columnar
+        scratch + self.stepper.mem_bytes()
     }
 
-    /// The generic run loop shared by the serial and sharded drivers:
-    /// executes rounds through `exec` until the spec is exhausted, the
-    /// engine halts, or an [`Stop::Until`] predicate fires, notifying `obs`
-    /// after every round.
-    fn drive<F, O>(
-        &mut self,
-        spec: RunSpec<F>,
-        obs: &mut O,
-        scratch: &mut RoundScratch<P::State, P::Message>,
-        mut exec: impl FnMut(&mut Self, &mut RoundScratch<P::State, P::Message>) -> RoundReport,
-    ) -> RunOutcome
+    /// The read-only view observers get: the vector, plus the resident
+    /// columns while the vector is stale.
+    fn view(&self) -> EngineView<'_, P> {
+        EngineView {
+            agents: self.stepper.vector(),
+            stale_columns: self.stepper.stale_columns(),
+            round: self.round,
+            halted: self.halted,
+            config: &self.cfg,
+            adv_rng_state: self.adv_rng.raw_state(),
+        }
+    }
+
+    /// Runs the engine per `spec`, notifying `obs` after every executed
+    /// round.
+    ///
+    /// This is the one execution entry point: the stop condition
+    /// ([`Stop::Rounds`] / [`Stop::Until`] / [`Stop::Epochs`]) and the
+    /// thread configuration ([`Threads::Serial`] /
+    /// [`Threads::Sharded`], one pool persisting across all rounds) live in
+    /// the [`RunSpec`]; recording and any other instrumentation live in the
+    /// [`Observer`]. With the `()` observer the loop is the allocation-free
+    /// fast path; with [`RecordStats`](crate::RecordStats) it reproduces the
+    /// engine's former built-in stats recording. The trajectory is a pure
+    /// function of the seed: the spec's thread configuration and the
+    /// observer never change it.
+    ///
+    /// [`Threads::Sharded`] shards the two `O(population)` stretches of a
+    /// round across one persistent [`ShardPool`]: above
+    /// [`KEYED_PERMUTATION_MIN_POPULATION`](crate::matching::KEYED_PERMUTATION_MIN_POPULATION)
+    /// the matching, sampled straight into the partner table, and the step
+    /// phase of a columnar stepper. A protocol without one steps serially.
+    /// The per-agent counter RNG and the counter-keyed matching permutation
+    /// make the results **bit-identical to the serial loop for every worker
+    /// count** (asserted by the `sharded_run_*` property tests and the CI
+    /// determinism diff). The remaining phases (adversary, split/death
+    /// application) stay serial — they are `O(K + splits + deaths)` work.
+    /// Sharding is worth it only when single rounds are large: the pool
+    /// synchronizes several times per round, so at small populations
+    /// [`Threads::Serial`] wins.
+    ///
+    /// The thread configuration is [normalized](Threads::normalized)
+    /// before dispatch: `Sharded(0)` and `Sharded(1)` describe a serial
+    /// trajectory (the determinism contract makes them identical to
+    /// [`Threads::Serial`]), so they start no pool.
+    pub fn run<F, O>(&mut self, spec: RunSpec<F>, obs: &mut O) -> RunOutcome
     where
         F: FnMut(&RoundReport) -> bool,
         O: Observer<P>,
     {
+        match spec.threads.normalized() {
+            Threads::Serial => self.drive(spec, obs, None),
+            Threads::Sharded(workers) => {
+                ShardPool::with(workers, |pool| self.drive(spec, obs, Some(pool)))
+            }
+        }
+    }
+
+    /// The run loop: executes rounds until the spec is exhausted, the
+    /// engine halts, or an [`Stop::Until`] predicate fires, notifying `obs`
+    /// after every round.
+    fn drive<F, O>(&mut self, spec: RunSpec<F>, obs: &mut O, pool: Option<&ShardPool>) -> RunOutcome
+    where
+        F: FnMut(&RoundReport) -> bool,
+        O: Observer<P>,
+    {
+        let mut scratch = std::mem::take(&mut self.scratch);
         let max_rounds = spec.max_rounds();
         let mut stop = spec.stop;
         let mut executed = 0u64;
@@ -390,30 +641,15 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         // columnar path keep its columns resident across rounds instead of
         // transposing the vector back after every step.
         let needs_state = obs.needs_engine_state();
-        while executed < max_rounds {
-            if self.halted.is_some() {
-                break;
-            }
-            let report = exec(self, scratch);
+        while executed < max_rounds && self.halted.is_none() {
+            let report = self.round_impl(&mut scratch, pool);
             executed += 1;
             lo = lo.min(report.population_after);
             hi = hi.max(report.population_after);
             if needs_state {
-                self.materialize();
+                self.stepper.materialize();
             }
-            let view = EngineView {
-                agents: &self.agents,
-                stale_columns: if self.vec_stale {
-                    self.columnar.as_deref()
-                } else {
-                    None
-                },
-                round: self.round,
-                halted: self.halted,
-                config: &self.cfg,
-                adv_rng_state: self.adv_rng.raw_state(),
-            };
-            obs.on_round(&report, &view);
+            obs.on_round(&report, &self.view());
             last = Some(report);
             if let Stop::Until { stop, .. } = &mut stop {
                 if stop(&report) {
@@ -422,9 +658,10 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
                 }
             }
         }
+        self.scratch = scratch;
         // The vector is authoritative again from here on out.
-        self.materialize();
-        let population = self.agents.len();
+        self.stepper.materialize();
+        let population = self.stepper.len();
         if executed == 0 {
             lo = population;
             hi = population;
@@ -444,53 +681,20 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         }
     }
 
-    /// The bound-free serial driver: [`Engine::run`] minus the
-    /// [`Threads::Sharded`] arm, so it needs none of that arm's
-    /// `Send`/`Sync` bounds. `spec.threads` is ignored (rounds execute
-    /// serially).
-    ///
-    /// [`Engine::run`] dispatches here for [`Threads::Serial`] (and for
-    /// degenerate `Sharded(0 | 1)` specs); call it directly only for a
-    /// protocol whose state is not thread-safe — every protocol in this
-    /// workspace satisfies the `run` bounds.
-    pub fn run_serial<F, O>(&mut self, spec: RunSpec<F>, obs: &mut O) -> RunOutcome
-    where
-        F: FnMut(&RoundReport) -> bool,
-        O: Observer<P>,
-    {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let outcome = self.drive(spec, obs, &mut scratch, |e, s| e.round_impl(s));
-        self.scratch = scratch;
-        outcome
-    }
-
     /// Checkpoints the engine into a [`Snapshot`]: config, round counter,
     /// halt flag, adversary-stream position, and every agent's encoded
     /// state. [`Engine::restore`] of the result continues bit-for-bit
     /// identically to this engine (see the [`crate::snapshot`] module docs
     /// for what is and is not captured).
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::agents`].
     pub fn snapshot(&self) -> Snapshot
     where
         P::State: SnapshotState,
     {
-        debug_assert!(
-            !self.vec_stale,
-            "snapshot of a stale agent vector (engine failed to materialize)"
-        );
-        let mut agent_bytes = Vec::new();
-        for agent in &self.agents {
-            agent.encode(&mut agent_bytes);
-        }
-        Snapshot {
-            label: String::new(),
-            state_tag: P::State::state_tag(),
-            config: self.cfg.clone(),
-            round: self.round,
-            halted: self.halted,
-            adv_rng_state: self.adv_rng.raw_state(),
-            agent_count: self.agents.len() as u64,
-            agent_bytes,
-        }
+        self.view().snapshot()
     }
 
     /// Rebuilds an engine from a [`Snapshot`], resuming exactly where
@@ -539,44 +743,57 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         if reader.remaining() != 0 {
             return Err(reader.malformed("agent column longer than the captured population"));
         }
-        let cfg = snap.config.clone();
-        let agent_key = derive_seed(cfg.seed, "agent-counter");
-        let match_key = derive_seed(cfg.seed, "matching");
-        let columnar = protocol.columnar();
-        Ok(Engine {
+        Ok(Engine::assemble(
             protocol,
             adversary,
-            cfg,
+            snap.config.clone(),
             agents,
-            round: snap.round,
-            agent_key,
-            match_key,
-            adv_rng: SimRng::from_raw_state(snap.adv_rng_state),
-            halted: snap.halted,
-            scratch: RoundScratch::default(),
-            columnar,
-            cols_valid: false,
-            vec_stale: false,
-        })
+            snap.round,
+            SimRng::from_raw_state(snap.adv_rng_state),
+            snap.halted,
+        ))
     }
 
-    /// One synchronous round against explicit scratch buffers. The serial
-    /// driver funnels through here; the sharded driver funnels through
-    /// [`par_round_impl`](Self::par_round_impl), which differs *only* in how
-    /// the step phase is executed.
-    fn round_impl(&mut self, scratch: &mut RoundScratch<P::State, P::Message>) -> RoundReport {
+    /// One synchronous round: adversary and matching, then the stepper's
+    /// step and its splits and deaths. `pool` shards the matching and a
+    /// columnar step; it never changes the result.
+    fn round_impl(
+        &mut self,
+        scratch: &mut RoundScratch<P::State>,
+        pool: Option<&ShardPool>,
+    ) -> RoundReport {
         let mut report = RoundReport {
             round: self.round,
-            population_before: self.live_population(),
+            population_before: self.stepper.len(),
             ..RoundReport::default()
         };
-        if self.halted.is_some() {
-            report.population_after = self.live_population();
-            return report;
+        self.phase_adversary_and_matching(scratch, &mut report, pool);
+        let RoundScratch {
+            partners,
+            splits,
+            deaths,
+            ..
+        } = scratch;
+        splits.clear();
+        deaths.clear();
+        let rkey = round_key(self.agent_key, self.round);
+        self.stepper
+            .step(&self.protocol, partners, rkey, pool, splits, deaths);
+        // Kills may duplicate an own-death.
+        deaths.sort_unstable();
+        deaths.dedup();
+        report.splits = splits.len();
+        report.deaths = deaths.len();
+        self.stepper.apply(splits, deaths);
+
+        let population = self.stepper.len();
+        report.population_after = population;
+        self.round += 1;
+        if population == 0 {
+            self.halted = Some(HaltReason::Extinct);
+        } else if population > self.cfg.max_population {
+            self.halted = Some(HaltReason::Exploded);
         }
-        self.phase_adversary_and_matching(scratch, &mut report, None);
-        self.phase_step_serial(scratch);
-        self.phase_apply(scratch, &mut report);
         report
     }
 
@@ -587,7 +804,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// computes it.
     fn phase_adversary_and_matching(
         &mut self,
-        scratch: &mut RoundScratch<P::State, P::Message>,
+        scratch: &mut RoundScratch<P::State>,
         report: &mut RoundReport,
         pool: Option<&ShardPool>,
     ) {
@@ -605,308 +822,42 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
                 // ([`Adversary::is_noop`]) never reads it, which is what
                 // lets the columnar path keep its columns resident.
                 if !self.adversary.is_noop() {
-                    self.materialize();
+                    self.stepper.materialize();
                 }
-                let alterations = self.adversary.act(&ctx, &self.agents, &mut self.adv_rng);
+                let alterations =
+                    self.adversary
+                        .act(&ctx, self.stepper.vector(), &mut self.adv_rng);
                 // An `is_noop` adversary that alters anyway broke its
                 // contract (it acted on a possibly-stale slice); the
                 // alterations still apply coherently below.
                 debug_assert!(
-                    alterations.is_empty() || !self.vec_stale,
+                    alterations.is_empty() || self.stepper.stale_columns().is_none(),
                     "is_noop adversary returned alterations"
                 );
                 alterations
             }
         };
         if !alterations.is_empty() {
-            self.apply_alterations(alterations, &mut scratch.alterations, report);
+            let plan = &mut scratch.alterations;
+            plan.partition(alterations, self.cfg.adversary_budget, self.stepper.len());
+            report.inserted = plan.inserts.len();
+            report.modified = plan.modifies.len();
+            report.deleted = plan.deletes.len();
+            if !plan.is_empty() {
+                self.stepper.alter(plan);
+            }
         }
 
         // Phase 2: matching over survivors.
-        let population = self.live_population();
         let mkey = round_key(self.match_key, self.round);
         report.matched = sample_partners_into(
             &mut scratch.partners,
             &mut scratch.shuffle,
-            population,
+            self.stepper.len(),
             self.cfg.matching,
             mkey,
             pool,
         );
-    }
-
-    /// Phase 3, serial flavor: simultaneous message exchange, then one step
-    /// per agent under its `(round, slot)`-keyed RNG. Messages are composed
-    /// from pre-step state for every matched agent.
-    fn phase_step_serial(&mut self, scratch: &mut RoundScratch<P::State, P::Message>) {
-        if self.phase_step_columnar(scratch, None) {
-            return;
-        }
-        let RoundScratch {
-            partners,
-            messages,
-            splits,
-            deaths,
-            ..
-        } = scratch;
-        messages.clear();
-        messages.extend(partners.iter().map(|&p| {
-            if p == UNMATCHED {
-                None
-            } else {
-                Some(self.protocol.message(&self.agents[p as usize]))
-            }
-        }));
-
-        deaths.clear();
-        splits.clear();
-        let rkey = round_key(self.agent_key, self.round);
-        for (i, incoming) in messages.iter().enumerate() {
-            let mut rng = slot_rng(rkey, i as u64);
-            let action = self
-                .protocol
-                .step(&mut self.agents[i], incoming.as_ref(), &mut rng);
-            match action {
-                Action::Continue => {}
-                Action::Split => splits.push(i),
-                Action::Die => deaths.push(i),
-                // Extended model (§1.2): remove the matched partner. A
-                // kill and a same-round split of the victim both take
-                // effect: the daughter survives, the victim does not.
-                Action::KillPartner => {
-                    let j = partners[i];
-                    if j != UNMATCHED {
-                        deaths.push(j as usize);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The columnar arm of the step phase, shared by the serial and sharded
-    /// flavors: reload the columns if the vector was mutated since they were
-    /// last current, then advance them in place (leaving the vector stale
-    /// until someone materializes it). Returns `false` when no columnar
-    /// stepper is installed.
-    fn phase_step_columnar(
-        &mut self,
-        scratch: &mut RoundScratch<P::State, P::Message>,
-        pool: Option<&ShardPool>,
-    ) -> bool {
-        if self.columnar.is_none() {
-            return false;
-        }
-        let rkey = round_key(self.agent_key, self.round);
-        let stepper = self.columnar.as_mut().expect("checked above");
-        scratch.splits.clear();
-        scratch.deaths.clear();
-        if !self.cols_valid {
-            stepper.load(&self.agents, pool);
-            self.cols_valid = true;
-        }
-        stepper.step(
-            &scratch.partners,
-            rkey,
-            pool,
-            &mut scratch.splits,
-            &mut scratch.deaths,
-        );
-        self.vec_stale = true;
-        true
-    }
-
-    /// Phase 4 plus bookkeeping: apply splits (append daughters) then
-    /// deaths (swap-remove, descending index order so earlier indices stay
-    /// valid; kills may duplicate an own-death, so dedup first), and check
-    /// the halt conditions. After a columnar step the lists are applied to
-    /// the resident columns instead — same order, same semantics.
-    fn phase_apply(
-        &mut self,
-        scratch: &mut RoundScratch<P::State, P::Message>,
-        report: &mut RoundReport,
-    ) {
-        let RoundScratch { splits, deaths, .. } = scratch;
-        deaths.sort_unstable();
-        deaths.dedup();
-        report.splits = splits.len();
-        report.deaths = deaths.len();
-        if self.vec_stale {
-            self.columnar
-                .as_mut()
-                .expect("stale vector implies a columnar stepper")
-                .apply(splits, deaths);
-        } else {
-            for &i in splits.iter() {
-                let daughter = self.agents[i].clone();
-                self.agents.push(daughter);
-            }
-            for &i in deaths.iter().rev() {
-                self.agents.swap_remove(i);
-            }
-        }
-
-        let population = self.live_population();
-        report.population_after = population;
-        self.round += 1;
-
-        if population == 0 {
-            self.halted = Some(HaltReason::Extinct);
-        } else if population > self.cfg.max_population {
-            self.halted = Some(HaltReason::Exploded);
-        }
-    }
-
-    /// Phase 3, parallel flavor: shards the message composition and the
-    /// step/split/death scan over `pool`, merging per-shard work lists in
-    /// slot order. Bit-identical to [`phase_step_serial`](Self::phase_step_serial)
-    /// for every shard count because
-    ///
-    /// * each agent's coin flips come from its own `(round, slot)` counter
-    ///   stream, not from a shared sequential stream,
-    /// * shards cover contiguous disjoint slot ranges in order, so the
-    ///   concatenated split lists equal the serial iteration's, and the
-    ///   death lists are sorted + deduped afterwards either way.
-    fn phase_step_parallel(
-        &mut self,
-        scratch: &mut RoundScratch<P::State, P::Message>,
-        pool: &ShardPool,
-        shard_out: &mut [StepShard],
-    ) where
-        P: Sync,
-        P::State: Send + Sync,
-        P::Message: Send,
-    {
-        if self.phase_step_columnar(scratch, Some(pool)) {
-            return;
-        }
-        let RoundScratch {
-            partners,
-            messages,
-            splits,
-            deaths,
-            ..
-        } = scratch;
-        let n = self.agents.len();
-        let nshards = pool.shards();
-        debug_assert_eq!(shard_out.len(), nshards);
-        let partners: &[u32] = partners;
-        let protocol = &self.protocol;
-        let rkey = round_key(self.agent_key, self.round);
-
-        // Message composition: every shard reads agent states (no one
-        // mutates them during this dispatch) and writes the message slots
-        // of its own range. Plain message types (no drop glue — every
-        // protocol in this workspace) write into spare capacity and publish
-        // the length after the barrier; droppy message types are prefilled
-        // with `None` first so that a panicking shard cannot strand
-        // already-written payloads in unreachable capacity (`ptr::write`
-        // over a `None` leaks nothing either way).
-        let prefill = std::mem::needs_drop::<Option<P::Message>>();
-        messages.clear();
-        if prefill {
-            messages.resize_with(n, || None);
-        } else {
-            messages.reserve(n);
-        }
-        let msg_base = SendPtr(messages.as_mut_ptr());
-        let agents_base = SendPtr(self.agents.as_mut_ptr());
-        pool.dispatch(&|s| {
-            let (lo, hi) = shard_range(n, nshards, s);
-            // Indexing (not iterators) keeps the slot arithmetic aligned
-            // with the raw-pointer writes below.
-            #[allow(clippy::needless_range_loop)]
-            for i in lo..hi {
-                let p = partners[i];
-                let msg = if p == UNMATCHED {
-                    None
-                } else {
-                    // SAFETY: shared read; agents are not written to until
-                    // the next dispatch, after this one's barrier.
-                    Some(protocol.message(unsafe { &*agents_base.get().add(p as usize) }))
-                };
-                // SAFETY: slot `i` belongs to exactly one shard range and
-                // lies within the capacity reserved above; it holds either
-                // uninitialized memory (post-`clear`) or a prefilled `None`
-                // — `write` is correct for both, since `None` of a droppy
-                // payload type has nothing to drop.
-                unsafe { msg_base.get().add(i).write(msg) };
-            }
-        });
-        if !prefill {
-            // SAFETY: the dispatch barrier guarantees all `n` slots are
-            // initialized before the length is published.
-            unsafe { messages.set_len(n) };
-        }
-
-        // Step scan: each shard mutates only its own agents, reads only its
-        // own messages, and collects splits/deaths into its own list.
-        let shards_base = SendPtr(shard_out.as_mut_ptr());
-        pool.dispatch(&|s| {
-            let (lo, hi) = shard_range(n, nshards, s);
-            // SAFETY: `dispatch` runs each shard index exactly once, so
-            // this is the only reference to `shard_out[s]`.
-            let out = unsafe { &mut *shards_base.get().add(s) };
-            out.splits.clear();
-            out.deaths.clear();
-            #[allow(clippy::needless_range_loop)]
-            for i in lo..hi {
-                // SAFETY: slot `i` belongs to exactly one shard range; no
-                // other thread touches `agents[i]` or `messages[i]`.
-                let state = unsafe { &mut *agents_base.get().add(i) };
-                // SAFETY: same disjointness argument, and `messages` is only
-                // ever read during the step phase.
-                let incoming = unsafe { &*msg_base.get().add(i) };
-                let mut rng = slot_rng(rkey, i as u64);
-                match protocol.step(state, incoming.as_ref(), &mut rng) {
-                    Action::Continue => {}
-                    Action::Split => out.splits.push(i),
-                    Action::Die => out.deaths.push(i),
-                    Action::KillPartner => {
-                        let j = partners[i];
-                        if j != UNMATCHED {
-                            out.deaths.push(j as usize);
-                        }
-                    }
-                }
-            }
-        });
-
-        // Deterministic merge in slot order (shard s covers smaller slots
-        // than shard s+1).
-        splits.clear();
-        deaths.clear();
-        for out in shard_out.iter() {
-            splits.extend_from_slice(&out.splits);
-            deaths.extend_from_slice(&out.deaths);
-        }
-    }
-
-    /// One round with the step phase sharded over `pool`; everything else
-    /// matches [`round_impl`](Self::round_impl).
-    fn par_round_impl(
-        &mut self,
-        scratch: &mut RoundScratch<P::State, P::Message>,
-        pool: &ShardPool,
-        shard_out: &mut [StepShard],
-    ) -> RoundReport
-    where
-        P: Sync,
-        P::State: Send + Sync,
-        P::Message: Send,
-    {
-        let mut report = RoundReport {
-            round: self.round,
-            population_before: self.live_population(),
-            ..RoundReport::default()
-        };
-        if self.halted.is_some() {
-            report.population_after = self.live_population();
-            return report;
-        }
-        self.phase_adversary_and_matching(scratch, &mut report, Some(pool));
-        self.phase_step_parallel(scratch, pool, shard_out);
-        self.phase_apply(scratch, &mut report);
-        report
     }
 
     /// The resident arm of phase 1: while the columns hold the only current
@@ -919,125 +870,11 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         ctx: &RoundContext,
         counts: &mut BTreeMap<u32, usize>,
     ) -> Option<Vec<Alteration<P::State>>> {
-        if !self.vec_stale || self.adversary.is_noop() {
+        if self.adversary.is_noop() {
             return None;
         }
-        let stepper = self
-            .columnar
-            .as_ref()
-            .expect("stale vector implies a columnar stepper");
-        let stats = stepper.observe(self.round, counts)?;
+        let stats = self.stepper.stale_columns()?.observe(self.round, counts)?;
         self.adversary.act_on_stats(ctx, &stats, &mut self.adv_rng)
-    }
-
-    /// Applies adversary alterations under the budget (see
-    /// [`AlterationPlan::partition`]) to whichever representation is
-    /// current: in place in the resident columns when the stepper accepts
-    /// them ([`ColumnarStep::alter`]), otherwise to the vector, which then
-    /// invalidates the columns.
-    fn apply_alterations(
-        &mut self,
-        alterations: Vec<Alteration<P::State>>,
-        plan: &mut AlterationPlan<P::State>,
-        report: &mut RoundReport,
-    ) {
-        plan.partition(
-            alterations,
-            self.cfg.adversary_budget,
-            self.live_population(),
-        );
-        report.inserted = plan.inserts.len();
-        report.modified = plan.modifies.len();
-        report.deleted = plan.deletes.len();
-        if plan.is_empty() {
-            return;
-        }
-        if self.vec_stale {
-            let stepper = self
-                .columnar
-                .as_mut()
-                .expect("stale vector implies a columnar stepper");
-            if stepper.alter(&plan.inserts, &plan.modifies, &plan.deletes) {
-                plan.inserts.clear();
-                plan.modifies.clear();
-                return;
-            }
-            self.materialize();
-        }
-        plan.apply_to(&mut self.agents);
-        // The vector changed behind the columns' back.
-        self.cols_valid = false;
-    }
-}
-
-/// The unified run driver.
-///
-/// The `Send`/`Sync` bounds come from [`Threads::Sharded`], whose step scan
-/// shards the two `O(population)` stretches of every round — the step phase
-/// and, above
-/// [`KEYED_PERMUTATION_MIN_POPULATION`](crate::matching::KEYED_PERMUTATION_MIN_POPULATION),
-/// the matching, sampled straight into the partner table — across one
-/// persistent [`ShardPool`]; the per-agent counter RNG and the
-/// counter-keyed matching permutation make the results **bit-identical to
-/// the serial loop for every worker count** (asserted by the `sharded_run_*`
-/// property tests and the CI determinism diff). The remaining phases
-/// (adversary, split/death application) stay serial — they are `O(K +
-/// splits + deaths)` work against the `O(population)` scans. Sharding is
-/// worth it only when single rounds are large: the pool synchronizes
-/// several times per round, so at small populations [`Threads::Serial`]
-/// wins.
-impl<P, A> Engine<P, A>
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-    P::Message: Send,
-    A: Adversary<P::State>,
-{
-    /// Runs the engine per `spec`, notifying `obs` after every executed
-    /// round.
-    ///
-    /// This is the one execution entry point: the stop condition
-    /// ([`Stop::Rounds`] / [`Stop::Until`] / [`Stop::Epochs`]) and the
-    /// thread configuration ([`Threads::Serial`] /
-    /// [`Threads::Sharded`], one pool persisting across all rounds) live in
-    /// the [`RunSpec`]; recording and any other instrumentation live in the
-    /// [`Observer`]. With the `()` observer the loop is the allocation-free
-    /// fast path; with [`RecordStats`](crate::RecordStats) it reproduces the
-    /// engine's former built-in stats recording. The trajectory is a pure
-    /// function of the seed: the spec's thread configuration and the
-    /// observer never change it.
-    ///
-    /// The `Send`/`Sync` bounds on this impl block exist for the
-    /// [`Threads::Sharded`] arm (they are satisfied by every protocol in
-    /// this workspace). A protocol with non-thread-safe state can still
-    /// execute serially through the bound-free
-    /// [`run_serial`](Engine::run_serial).
-    ///
-    /// The thread configuration is [normalized](Threads::normalized)
-    /// before dispatch: `Sharded(0)` and `Sharded(1)` describe a serial
-    /// trajectory (the determinism contract makes them identical to
-    /// [`Threads::Serial`]), so they take the serial path rather than
-    /// paying the sharded arm's per-round merge overhead.
-    pub fn run<F, O>(&mut self, spec: RunSpec<F>, obs: &mut O) -> RunOutcome
-    where
-        F: FnMut(&RoundReport) -> bool,
-        O: Observer<P>,
-    {
-        match spec.threads.normalized() {
-            Threads::Serial => self.run_serial(spec, obs),
-            Threads::Sharded(workers) => {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let mut shard_out: Vec<StepShard> =
-                    (0..workers).map(|_| StepShard::default()).collect();
-                let outcome = ShardPool::with(workers, |pool| {
-                    self.drive(spec, obs, &mut scratch, |e, s| {
-                        e.par_round_impl(s, pool, &mut shard_out)
-                    })
-                });
-                self.scratch = scratch;
-                outcome
-            }
-        }
     }
 }
 
@@ -1112,13 +949,7 @@ mod tests {
     }
 
     /// One round through the driver, returning its report.
-    fn round<P, A>(engine: &mut Engine<P, A>) -> RoundReport
-    where
-        P: Protocol + Sync,
-        P::State: Send + Sync,
-        P::Message: Send,
-        A: Adversary<P::State>,
-    {
+    fn round<P: Protocol, A: Adversary<P::State>>(engine: &mut Engine<P, A>) -> RoundReport {
         engine.run(RunSpec::rounds(1), &mut ()).last
     }
 
@@ -1920,6 +1751,23 @@ mod tests {
                 let _ = v.agents();
             }),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "read a stale vector")]
+    fn agents_after_a_run_unwound_mid_round_panic() {
+        // A panic out of the observer leaves only the columns current.
+        let mut engine = half_matched_split_once(20);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run(
+                RunSpec::rounds(1),
+                &mut ViewOnly(|_: &RoundReport, _: &EngineView<'_, ColumnarSplitOnce>| {
+                    panic!("observer failed")
+                }),
+            )
+        }));
+        assert!(unwound.is_err());
+        let _ = engine.agents();
     }
 
     #[test]

@@ -259,10 +259,11 @@ proptest! {
         prop_assert_eq!(stepped.halted(), oneshot.halted());
     }
 
-    /// The tentpole guarantee: intra-round sharding is bit-identical to the
-    /// serial driver for every worker count (including one, which executes
-    /// the parallel code path inline) — same per-round trajectory under
-    /// adversarial churn, splits, deaths and partner-kills.
+    /// Intra-round sharding is bit-identical to the serial driver for
+    /// every worker count — same per-round trajectory under adversarial
+    /// churn, splits, deaths and partner-kills. One worker normalizes to
+    /// [`Threads::Serial`](popstab_sim::Threads) and starts no pool; `Flaky`
+    /// has no columnar stepper, so at any count only its matching shards.
     #[test]
     fn sharded_run_matches_serial_for_every_worker_count(
         seed in 0u64..300,

@@ -82,12 +82,9 @@
 //! | `engine.metrics()` / `engine.trajectory()` | own a `MetricsRecorder`, fill it via `RecordStats::new(&mut rec)` |
 //! | `SimConfig::metrics_every` / `metrics_phase` | `RecordStats::stride(&mut rec, every, phase)` |
 //!
-//! `Engine::run` carries the `P: Sync, P::State: Send + Sync, P::Message:
-//! Send` bounds the sharded arm needs (every protocol in this workspace
-//! satisfies them); a protocol with non-thread-safe state can still run
-//! serially through the bound-free [`Engine::run_serial`](prelude::Engine)
-//! entry point (PR 7 removed the deprecated `run_round`/`run_rounds`/
-//! `run_until` wrappers that used to fill this role).
+//! `Engine::run` carries no `Send`/`Sync` bounds: only a protocol's own
+//! columnar stepper shares step work across threads, so any protocol runs
+//! under any [`Threads`](sim::Threads) configuration.
 //!
 //! The named `(protocol, adversary, config)` combos the experiment harness
 //! runs are declared as [`sim::Scenario`] values; `experiments --list`
@@ -113,9 +110,12 @@
 //!
 //! # Memory layout & scaling
 //!
-//! The engine stores agents as a plain `Vec<AgentState>` and, whenever the
-//! protocol offers a columnar stepper, mirrors them into a struct-of-arrays
-//! column store tuned for million-agent populations:
+//! Every engine holds its population behind one stepper. A protocol that
+//! offers a columnar stepper keeps it in a struct-of-arrays column store
+//! tuned for million-agent populations, with a `Vec<AgentState>` copy
+//! materialized on demand; any other protocol (the baselines, the §1.2
+//! malice extension) steps serially over a plain vector, with only its
+//! matching sharded under [`Threads::Sharded`](sim::Threads):
 //!
 //! * **On by default, never a semantic switch.** Every engine running
 //!   [`PopulationStability`](prelude::PopulationStability) steps on
@@ -148,7 +148,7 @@
 //!   drives random `(seed, rounds, workers)` through both paths (clean and
 //!   adversarial, plus one fixed case at N = 2²⁰), comparing traces,
 //!   recorded stats, full agent vectors and snapshot bytes; a hidden
-//!   test-only hook forces the scalar side.
+//!   test-only hook installs the scalar row stepper for the other side.
 //! * **Byte budget.** At large N the resident footprint is the agent
 //!   vector plus a few dozen bits of column state per agent — ~46 B/agent
 //!   total at N = 2²⁰/2²² ([`Engine::approx_mem_bytes`](prelude::Engine)),
@@ -208,14 +208,16 @@
 //! Every trajectory is a pure function of `(seed, RunSpec)`: the agent
 //! stream is keyed by `(seed, round, slot)` and the matching stream by
 //! `(match_key, round)`, so serial and sharded runs are bit-identical and
-//! any round can be replayed in isolation. Golden fixtures under
-//! `tests/golden/` pin both streams byte-for-byte; bumping
-//! `AGENT_STREAM_VERSION` or `MATCHING_STREAM_VERSION` is a coordinated
-//! event (constant + fixtures + README table + `BENCH_engine.json`
-//! together). Snapshots extend the contract across process boundaries:
-//! every snapshot embeds the stream versions it was captured under (plus
-//! `SNAPSHOT_FORMAT_VERSION` for the byte layout itself), and restore
-//! refuses a file from a different stream scheme.
+//! any round can be replayed in isolation. A sharded run splits the
+//! matching and a columnar step across the pool; a row protocol's step
+//! stays serial, so its trajectory cannot depend on the worker count.
+//! Golden fixtures under `tests/golden/` pin both streams byte-for-byte;
+//! bumping `AGENT_STREAM_VERSION` or `MATCHING_STREAM_VERSION` is a
+//! coordinated event (constant + fixtures + README table +
+//! `BENCH_engine.json` together). Snapshots extend the contract across
+//! process boundaries: every snapshot embeds the stream versions it was
+//! captured under (plus `SNAPSHOT_FORMAT_VERSION` for the byte layout
+//! itself), and restore refuses a file from a different stream scheme.
 //!
 //! The contract is enforced *statically* by `popstab-lint`
 //! (`cargo run -p popstab-lint`, a CI gate). The lint lexes every

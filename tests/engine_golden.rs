@@ -96,17 +96,11 @@ fn check_golden(name: &str, reports: &[RoundReport]) {
     }
 }
 
-fn collect_rounds<P, A>(
+fn collect_rounds<P: Protocol, A: Adversary<P::State>>(
     engine: &mut Engine<P, A>,
     rounds: u64,
     threads: Threads,
-) -> Vec<RoundReport>
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-    P::Message: Send,
-    A: Adversary<P::State>,
-{
+) -> Vec<RoundReport> {
     let mut reports = Vec::new();
     engine.run(
         RunSpec::rounds(rounds).threads(threads),
@@ -119,13 +113,11 @@ where
 /// driver and requires both trajectories to match the fixture byte for
 /// byte: the `RunSpec` thread configuration must never change a
 /// simulation.
-fn check_golden_all_specs<P, A>(name: &str, rounds: u64, build: impl Fn() -> Engine<P, A>)
-where
-    P: Protocol + Sync,
-    P::State: Send + Sync,
-    P::Message: Send,
-    A: Adversary<P::State>,
-{
+fn check_golden_all_specs<P: Protocol, A: Adversary<P::State>>(
+    name: &str,
+    rounds: u64,
+    build: impl Fn() -> Engine<P, A>,
+) {
     check_golden(name, &collect_rounds(&mut build(), rounds, Threads::Serial));
     check_golden(
         name,

@@ -6,15 +6,19 @@
 //! [`PopulationStability`] — leader coins, recruitment, evaluation splits,
 //! adversarial churn — comparing the **full agent state vector** (every
 //! field, every slot, via `AgentState: Eq`), the recorded metrics and the
-//! per-round reports across worker counts. This is the same guarantee the
+//! per-round reports across worker counts. The §1.2 malice extension, a
+//! protocol without a columnar stepper, pins the engine's serial row step
+//! the same way. This is the same guarantee the
 //! CI determinism step checks at the `experiments` level with
 //! `--round-threads 1` vs `--round-threads 4`.
 
 use population_stability::adversary::{Trauma, TraumaKind};
 use population_stability::core::state::AgentState;
+use population_stability::extensions::{malicious_count, MaliciousInserter, WithMalice};
 use population_stability::prelude::*;
 use population_stability::sim::{
-    MetricsRecorder, OnRound, RecordStats, RoundReport, RoundStats, RunSpec, Stride, Threads,
+    EngineView, MetricsRecorder, Observer, OnRound, RecordStats, RoundReport, RoundStats, RunSpec,
+    Stride, Threads,
 };
 
 type Snapshot = (Vec<AgentState>, Vec<RoundStats>, u64, usize);
@@ -143,5 +147,67 @@ fn single_sharded_round_equals_single_serial_round() {
         let b = par.run(RunSpec::rounds(1).sharded(4), &mut ()).last;
         assert_eq!(a, b);
         assert_eq!(serial.agents(), par.agents());
+    }
+}
+
+/// Per-round malicious-agent counts, read from the full post-round agent
+/// vector (so the run materializes it every round).
+struct MaliceCounts(Vec<usize>);
+
+impl Observer<WithMalice<PopulationStability>> for MaliceCounts {
+    fn on_round(
+        &mut self,
+        _report: &RoundReport,
+        view: &EngineView<'_, WithMalice<PopulationStability>>,
+    ) {
+        self.0.push(malicious_count(view.agents()));
+    }
+}
+
+#[test]
+fn row_protocol_with_kills_is_bit_identical_across_worker_counts() {
+    // The §1.2 malice extension has no columnar stepper, so it takes the
+    // engine's serial row step (with `KillPartner`) while the matching and
+    // the adversary run under the spec's threads. Compare the full state:
+    // traces, per-round malicious counts, final agent vectors and snapshot
+    // bytes.
+    let params = Params::for_target(1024).unwrap();
+    let epoch = u64::from(params.epoch_len());
+    let run = |threads: Threads| {
+        let cfg = SimConfig::builder()
+            .seed(0xBAD)
+            .target(1024)
+            .adversary_budget(2)
+            .max_population(16 * 1024)
+            .build()
+            .unwrap();
+        let proto = WithMalice::new(PopulationStability::new(params.clone()));
+        let mut engine = Engine::with_adversary(proto, MaliciousInserter::new(2, 3), cfg, 1024);
+        assert!(!engine.columnar_enabled());
+        let mut trace = Vec::new();
+        let mut counts = MaliceCounts(Vec::new());
+        engine.run(
+            RunSpec::until(epoch + 17, |r| {
+                trace.push(*r);
+                false
+            })
+            .threads(threads),
+            &mut counts,
+        );
+        let snapshot = engine.snapshot().to_bytes();
+        (trace, counts.0, engine.agents().to_vec(), snapshot)
+    };
+    let serial = run(Threads::Serial);
+    assert!(
+        serial.1.windows(2).any(|w| w[1] < w[0] + 2),
+        "no round killed an inserted malicious agent: {:?}",
+        serial.1
+    );
+    assert!(serial.1.iter().any(|&m| m > 0));
+    for workers in [2usize, 3, 8] {
+        assert!(
+            serial == run(Threads::Sharded(workers)),
+            "{workers} workers diverged"
+        );
     }
 }
