@@ -345,9 +345,9 @@ fn cmd_resume(file: &str, rounds: u64, trace: bool, threads: Threads) -> ExitCod
     ExitCode::SUCCESS
 }
 
-/// Parses a `--jobs`/`--round-threads` value; `None` on anything
-/// non-positive.
-fn parse_workers(value: Option<&str>) -> Option<usize> {
+/// Parses a `--jobs`, `--round-threads`, `--every` or `--keep` value;
+/// `None` on anything that is not a positive integer.
+fn parse_positive(value: Option<&str>) -> Option<usize> {
     value?.parse::<usize>().ok().filter(|&n| n > 0)
 }
 
@@ -389,26 +389,26 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--quick" | "-q" => opts.quick = true,
             "--trace" => trace = true,
-            "--at" | "--rounds" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                if arg == "--at" {
-                    at = n;
-                } else {
-                    rounds = n;
-                }
-            }
-            "--every" | "--keep" | "--kill-at" => {
+            "--at" | "--rounds" | "--kill-at" => {
                 let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
                     eprintln!("{arg} needs a non-negative integer");
                     return ExitCode::FAILURE;
                 };
                 match arg.as_str() {
-                    "--every" => every = n,
-                    "--keep" => keep = n as usize,
+                    "--at" => at = n,
+                    "--rounds" => rounds = n,
                     _ => kill_at = Some(n),
+                }
+            }
+            "--every" | "--keep" => {
+                let Some(n) = parse_positive(args.next().as_deref()) else {
+                    eprintln!("{arg} needs a positive integer");
+                    return ExitCode::FAILURE;
+                };
+                if arg == "--every" {
+                    every = n as u64;
+                } else {
+                    keep = n;
                 }
             }
             "--checkpoints" => {
@@ -434,14 +434,14 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--jobs" | "-j" => {
-                jobs = parse_workers(args.next().as_deref());
+                jobs = parse_positive(args.next().as_deref());
                 if jobs.is_none() {
                     eprintln!("--jobs needs a positive integer");
                     return ExitCode::FAILURE;
                 }
             }
             "--round-threads" => {
-                round_threads = parse_workers(args.next().as_deref());
+                round_threads = parse_positive(args.next().as_deref());
                 if round_threads.is_none() {
                     eprintln!("--round-threads needs a positive integer");
                     return ExitCode::FAILURE;
@@ -548,4 +548,19 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_positive;
+
+    #[test]
+    fn parse_positive_rejects_zero_negatives_and_junk() {
+        assert_eq!(parse_positive(Some("1")), Some(1));
+        assert_eq!(parse_positive(Some("12")), Some(12));
+        for bad in ["0", "-1", "", "2.5", "x", "18446744073709551616"] {
+            assert_eq!(parse_positive(Some(bad)), None, "{bad:?}");
+        }
+        assert_eq!(parse_positive(None), None);
+    }
 }

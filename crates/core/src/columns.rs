@@ -761,6 +761,11 @@ fn load_range(
 /// the global slot of the range's first lane (word-aligned); `wire8` is
 /// the range's own `64 * words`-byte window.
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`as u8` takes one byte of a lane mask on purpose; slots are < population \
+              ≤ u32::MAX, enforced by SimConfig::validate"
+)]
 fn wire_range(
     params: &Params,
     base: usize,
@@ -855,6 +860,10 @@ fn wire_range(
 /// hazard list if the lane's own lineage may change this round, else live
 /// from the column.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "slots are < population ≤ u32::MAX, enforced by SimConfig::validate"
+)]
 fn latched_lineage(lin: ColPtr<u64>, hazards: &[(u32, u64)], p: usize) -> u64 {
     if !hazards.is_empty() {
         if let Ok(k) = hazards.binary_search_by_key(&(p as u32), |h| h.0) {
@@ -1110,6 +1119,10 @@ fn recruit_block(
 
 /// Round `T−1` (Algorithm 6, `EvaluationPhase`) over one uniform block.
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`as u8` takes one byte of a lane mask on purpose"
+)]
 fn eval_block(
     params: &Params,
     round_key: u64,
@@ -1498,7 +1511,7 @@ mod tests {
         let t = params.epoch_len();
         let agents: Vec<AgentState> = (0..n)
             .map(|i| {
-                let k = i as u32;
+                let k = u32::try_from(i).unwrap();
                 match k % 6 {
                     // Rounds 2 and t − 1 tie (two lanes in six each), so
                     // the majority must take the larger one.

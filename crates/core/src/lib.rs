@@ -48,6 +48,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod accounting;
 pub mod coin;
 pub mod columns;

@@ -173,6 +173,10 @@ impl Params {
     }
 
     /// The paper's adversary tolerance `K = N^{1/4−ε}` for a given `ε`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating float-to-int cast of a value at most N for ε ≥ −3/4"
+    )]
     pub fn adversary_tolerance(&self, epsilon: f64) -> usize {
         (self.target as f64).powf(0.25 - epsilon).floor() as usize
     }

@@ -1129,6 +1129,52 @@ mod tests {
         });
     }
 
+    mod dispatch_stalls {
+        use super::*;
+        use crate::fault::FaultPlan;
+        use proptest::prelude::*;
+        use std::sync::atomic::AtomicU32;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+            /// Random `FaultPlan` stalls inside the dispatch body shake the
+            /// pool's schedule (the substitute for a race detector here):
+            /// every shard still runs exactly once per dispatch, a panic on
+            /// every other dispatch is attributed to its shard, and the pool
+            /// stays reusable. `panicking >= shards` means no shard panics.
+            #[test]
+            fn dispatch_survives_random_stalls(
+                shards in 1usize..=8,
+                fault_seed in any::<u64>(),
+                rate in 0.0f64..=1.0,
+                micros in 1u64..=200,
+                panicking in 0usize..=8,
+            ) {
+                let plan = FaultPlan::new(fault_seed).stalls(rate, micros);
+                ShardPool::with(shards, |pool| {
+                    let hits: Vec<AtomicU32> = (0..shards).map(|_| AtomicU32::new(0)).collect();
+                    for round in 0..6u32 {
+                        let panics = round % 2 == 1 && panicking < shards;
+                        let result = pool.try_dispatch(&|s| {
+                            plan.maybe_stall(u64::from(round), s);
+                            hits[s].fetch_add(1, Ordering::Relaxed);
+                            if panics && s == panicking {
+                                panic!("stalled shard {s} boom");
+                            }
+                        });
+                        match result {
+                            Err(err) => prop_assert_eq!((panics, err.shard), (true, panicking)),
+                            Ok(()) => prop_assert!(!panics),
+                        }
+                        for (s, h) in hits.iter().enumerate() {
+                            prop_assert_eq!(h.load(Ordering::Relaxed), round + 1, "shard {}", s);
+                        }
+                    }
+                });
+            }
+        }
+    }
+
     /// Coin-flip splitter/dier: every round each agent splits or dies on a
     /// fair draw, so the trajectory is maximally seed-sensitive — exactly
     /// what fork-divergence tests need.

@@ -1864,7 +1864,8 @@ mod tests {
             assert_eq!(columnar.1, scalar.1, "{label}");
             // Round 0 acts on the fresh vector; every later round finds the
             // columns resident and decides from their stats if they observe.
-            let want = if observes { ROUNDS as usize - 1 } else { 0 };
+            let want = if observes { ROUNDS - 1 } else { 0 };
+            let want = usize::try_from(want).unwrap();
             assert_eq!(columnar.2, want, "{label}");
         }
     }

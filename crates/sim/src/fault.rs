@@ -176,7 +176,8 @@ impl FaultPlan {
         if len == 0 {
             return 0;
         }
-        self.decide("fault.truncate", key) as usize % len
+        let cut = self.decide("fault.truncate", key) % len as u64;
+        usize::try_from(cut).expect("the remainder is below `len`, a usize")
     }
 }
 

@@ -103,6 +103,8 @@
 //! same seed (golden fixtures under `tests/golden/` pin this byte for
 //! byte).
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod adversary;
 pub mod agent;
 pub mod batch;

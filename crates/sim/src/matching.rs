@@ -285,7 +285,7 @@ impl SlotPermutation {
             let narrow = bits <= 10;
             bits += 2;
             if narrow {
-                MIX_PASSES as u32
+                u32::try_from(MIX_PASSES).expect("MIX_PASSES is a small constant")
             } else {
                 6
             }
@@ -362,6 +362,10 @@ const FRACTION_SUBSTREAM: u64 = 1;
 
 /// The number of pairs `model` matches over `population` agents, drawing
 /// the `RandomFraction` fraction (if any) from the round's keyed stream.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "MatchingModel::validate keeps the fraction ≤ 1, so the floor is ≤ `population`"
+)]
 fn planned_pairs(population: usize, model: MatchingModel, mkey: u64) -> usize {
     let fraction = match model {
         MatchingModel::Full => 1.0,
@@ -383,7 +387,9 @@ fn planned_pairs(population: usize, model: MatchingModel, mkey: u64) -> usize {
 fn keyed_shuffle(indices: &mut Vec<u32>, population: usize, n_pairs: usize, mkey: u64) {
     let mut rng = CounterRng::keyed(sub_seed(mkey, PERM_SUBSTREAM));
     indices.clear();
-    indices.extend(0..population as u32);
+    let population_u32 = u32::try_from(population)
+        .expect("shuffled populations are below the keyed-permutation cutoff");
+    indices.extend(0..population_u32);
     // Partial Fisher–Yates: only the first 2·n_pairs slots are needed.
     for i in 0..(2 * n_pairs) {
         let j = rng.random_range(i..population);
@@ -422,6 +428,10 @@ pub fn sample_matching(population: usize, model: MatchingModel, mkey: u64) -> Ma
 
 /// As [`sample_matching`], but writing into `out` and using `indices` as
 /// shuffle scratch.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "slots are < population ≤ u32::MAX, enforced by SimConfig::validate"
+)]
 pub fn sample_matching_into(
     out: &mut Matching,
     indices: &mut Vec<u32>,
@@ -456,6 +466,10 @@ pub fn sample_matching_into(
 /// shuffle inline (too small to be worth a dispatch), and above it pair
 /// `p` is a pure function of `(mkey, p)`, shards cover disjoint contiguous
 /// pair ranges, and each writes its own range of the output buffer.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "slots are < population ≤ u32::MAX, enforced by SimConfig::validate"
+)]
 pub fn sample_matching_into_par(
     out: &mut Matching,
     indices: &mut Vec<u32>,
@@ -516,6 +530,10 @@ pub fn sample_matching_into_par(
 ///
 /// Every entry is therefore [`UNMATCHED`] or a slot `< population` — the
 /// invariant the columnar wire gather relies on.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "slots are < population ≤ u32::MAX, enforced by SimConfig::validate"
+)]
 pub fn sample_partners_into(
     partners: &mut Vec<u32>,
     shuffle: &mut Vec<u32>,
@@ -587,7 +605,8 @@ pub fn sample_partners_into(
 /// Fisher–Yates shuffle over a caller-supplied sequential stream (used in
 /// tests to cross-validate the keyed sampler).
 pub fn sample_full_matching_naive(population: usize, rng: &mut SimRng) -> Matching {
-    let mut indices: Vec<u32> = (0..population as u32).collect();
+    let population = u32::try_from(population).expect("population ≤ u32::MAX");
+    let mut indices: Vec<u32> = (0..population).collect();
     indices.shuffle(rng);
     let pairs = indices.chunks_exact(2).map(|c| (c[0], c[1])).collect();
     Matching { pairs }
@@ -693,7 +712,7 @@ mod tests {
             for k in 0..keys {
                 let perm = SlotPermutation::new(trial_key(15, k), n);
                 let image = perm.apply(probe_slot);
-                counts[(image * buckets as u64 / n) as usize] += 1;
+                counts[usize::try_from(image * buckets as u64 / n).unwrap()] += 1;
             }
             let expected = keys as f64 / buckets as f64;
             let chi2: f64 = counts
@@ -782,7 +801,7 @@ mod tests {
         let table = m.partner_table(64);
         for (i, &p) in table.iter().enumerate() {
             if p != UNMATCHED {
-                assert_eq!(table[p as usize], i as u32);
+                assert_eq!(table[p as usize], u32::try_from(i).unwrap());
             }
         }
         let matched = table.iter().filter(|&&p| p != UNMATCHED).count();
@@ -934,6 +953,7 @@ mod tests {
                 );
                 assert_valid(&partial, population);
                 // ≥ γ coverage, up to the integer floor of pairable agents.
+                #[expect(clippy::cast_possible_truncation, reason = "γ ≤ 1: at most `population`")]
                 let want = (((gamma * population as f64).floor() as usize) / 2).min(population / 2);
                 prop_assert_eq!(partial.len(), want);
 

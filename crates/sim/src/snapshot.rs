@@ -261,7 +261,10 @@ pub fn write_f64(out: &mut Vec<u8>, v: f64) {
 
 /// Appends a length-prefixed UTF-8 string.
 pub fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_u32(out, s.len() as u32);
+    write_u32(
+        out,
+        u32::try_from(s.len()).expect("snapshot strings are under 4 GiB"),
+    );
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -427,7 +430,7 @@ impl Snapshot {
 
     /// The captured population size.
     pub fn population(&self) -> usize {
-        self.agent_count as usize
+        usize::try_from(self.agent_count).expect("decode caps the count at MAX_SNAPSHOT_AGENTS")
     }
 
     /// The captured configuration.
@@ -770,7 +773,8 @@ where
         }
         let mut snap = view.snapshot();
         snap.label = self.label.clone();
-        let slot = ((view.round() / self.every) % self.keep as u64) as usize;
+        let slot = (view.round() / self.every) % self.keep as u64;
+        let slot = usize::try_from(slot).expect("the slot is below `keep`, a usize");
         match snap.write_to_file(Checkpoint::slot_path(&self.base, slot)) {
             Ok(()) => self.written += 1,
             Err(e) => self.errors.push((view.round(), e)),

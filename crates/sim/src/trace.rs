@@ -105,7 +105,9 @@ mod tests {
 
     #[test]
     fn series_and_bounds() {
-        let rounds: Vec<_> = (0..10).map(|r| stats_with(r, 100 + r as usize)).collect();
+        let rounds: Vec<_> = (0..10usize)
+            .map(|r| stats_with(r as u64, 100 + r))
+            .collect();
         let t = Trajectory::new(&rounds);
         assert_eq!(t.population_series().len(), 10);
         assert!(t.stays_within(100, 109));
@@ -116,8 +118,8 @@ mod tests {
 
     #[test]
     fn epoch_sampling() {
-        let rounds: Vec<_> = (0..20)
-            .map(|r| stats_with(r, (r as usize + 1) * 10))
+        let rounds: Vec<_> = (0..20usize)
+            .map(|r| stats_with(r as u64, (r + 1) * 10))
             .collect();
         let t = Trajectory::new(&rounds);
         // epoch_len 5 -> rounds 4, 9, 14, 19

@@ -219,34 +219,50 @@
 //! captured under (plus `SNAPSHOT_FORMAT_VERSION` for the byte layout
 //! itself), and restore refuses a file from a different stream scheme.
 //!
-//! The contract is enforced *statically* by `popstab-lint`
-//! (`cargo run -p popstab-lint`, a CI gate). The lint lexes every
-//! workspace source file into code/comment channels, parses the code
-//! channel into items (`fn`s, `use`/`type` aliases), links an approximate
+//! The contract is enforced *statically* in two layers, both CI gates.
+//!
+//! **Clippy** owns the hazards it can name with full type resolution.
+//! `crates/clippy.toml` (and an identical `shims/rand/clippy.toml`, since
+//! that shim is in the result crates' dependency closure) bans the hash
+//! containers, whose iteration order is per-process random
+//! (`disallowed_types`: `HashMap`, `HashSet`), the clocks (`Instant`,
+//! `SystemTime`), and every `std::env` read (`disallowed_methods`). The root
+//! manifest's `[workspace.lints.clippy]` denies those two lints plus
+//! `undocumented_unsafe_blocks`, and every member inherits it. `crates/bench`
+//! has its own empty `clippy.toml`: timing runs and parsing argv are its
+//! job. A provably harmless use is escaped in place with
+//! `#[expect(clippy::disallowed_methods, reason = "…")]`; a stale `expect`
+//! is itself a warning, and CI runs clippy with `-D warnings`, so an escape
+//! cannot outlive its hazard.
+//!
+//! **`popstab-lint`** (`cargo run -p popstab-lint`) keeps the checks clippy
+//! cannot express. It lexes every workspace source file into code/comment
+//! channels, parses the code channel into items, links an approximate
 //! workspace-wide call graph filtered by the manifests' dependency
-//! closure, and checks nine rules over it. The table below is generated
-//! from the rule registry (`cargo run -p popstab-lint -- --rules-md`) and
-//! a docs-drift test asserts this copy matches it:
+//! closure, and checks six rules over it. One of them,
+//! `workspace-manifest-invariants`, also keeps the clippy layer wired up:
+//! every result crate and every crate they depend on must resolve to a
+//! `clippy.toml` holding every ban, so a clock read laundered through a
+//! helper crate is still a clippy error. The table below is generated from
+//! the rule registry (`cargo run -p popstab-lint -- --rules-md`) and a
+//! docs-drift test asserts this copy matches it:
 //!
 //! | rule | guards against |
 //! |------|----------------|
-//! | `taint-ambient-nondeterminism` | clock / env / OS-RNG / hash-order reads reachable from result-affecting fns, traced through the call graph and `use`/`type` aliases |
-//! | `forbid-unordered-iteration` | `HashMap`/`HashSet` (per-process `RandomState` iteration order) anywhere in a result-affecting crate |
 //! | `float-order-determinism` | order-sensitive `f64` reductions (`sum`, `fold`) outside the order-fixed `ordered_sum` helper in result/statistics crates |
 //! | `sendptr-bounds` | `SendPtr`/`ColPtr` crossing a pool dispatch or deref'd in a helper without `shard_range`-derived disjoint indices |
-//! | `unsafe-needs-safety-comment` | `unsafe` blocks, fns, or impls without an adjacent `// SAFETY:` soundness argument |
 //! | `simd-scalar-twin` | lane-batched `_x8` kernels without a same-file scalar twin and lane-for-lane equivalence test |
 //! | `stream-version-coherence` | partial stream bumps — version constants, golden-fixture tables, and `BENCH_engine.json` disagreeing |
-//! | `workspace-manifest-invariants` | workspace crates missing the per-package dev/test `opt-level` overrides that keep `cargo test` fast |
+//! | `workspace-manifest-invariants` | workspace crates missing the per-package dev/test `opt-level` overrides that keep `cargo test` fast or `[lints] workspace = true`; result crates or their dependencies whose nearest `clippy.toml` lacks a determinism ban |
 //! | `unused-allow` | `lint:allow` escapes that no longer suppress any finding (stale exceptions rot into holes) |
 //!
 //! A finding is suppressed with a justified escape on, or in the comment
 //! block directly above, the offending line:
 //!
 //! ```text
-//! // lint:allow(taint-ambient-nondeterminism): wall time is only printed
-//! // as a footer, never fed into a trajectory.
-//! let start = Instant::now();
+//! // lint:allow(float-order-determinism): the slice is sorted by agent id
+//! // before the sum, so the order is fixed.
+//! let total: f64 = weights.iter().sum();
 //! ```
 //!
 //! (`lint:allow-file(<rule>): <justification>` within the first 20 lines

@@ -8,14 +8,15 @@
 //! deliberately excluded, test-only edges cannot reach a shipped result
 //! path) is what keeps name collisions from wiring unrelated crates
 //! together: `crates/sim` calling `.run(…)` can never edge into the bench
-//! CLI's `run`, because bench is not in sim's dependency closure.
+//! CLI's `run`, because bench is not in sim's dependency closure. The same
+//! closure ([`dependency_closure`]) tells `workspace-manifest-invariants`
+//! which crates must carry clippy's determinism bans.
 //!
 //! The graph over-approximates (method calls edge to every same-named fn,
 //! trait calls edge to every impl) and that is the right direction for the
-//! rules built on it: taint reachability may report a chain that the types
-//! would rule out, and the escape protocol absorbs it with a recorded
-//! justification; it will not *miss* a chain because a helper was called
-//! through a trait object.
+//! rule built on it: `sendptr-bounds` may credit a deref helper to a
+//! range-partitioning driver the types would rule out, but it will not
+//! miss a driver because the helper was called through a trait object.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -52,8 +53,6 @@ pub struct Graph {
     pub fns: Vec<FnNode>,
     /// `callees[f]` — fn ids `f` may call (deduplicated, sorted).
     pub callees: Vec<Vec<usize>>,
-    /// `callers[f]` — fn ids that may call `f`.
-    pub callers: Vec<Vec<usize>>,
 }
 
 /// Tokens that look like calls but never are.
@@ -98,7 +97,6 @@ impl Graph {
         let deps = dependency_closure(ws);
         let empty = BTreeSet::new();
         let mut callees: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
         for (id, node) in fns.iter().enumerate() {
             let pf = &parsed[node.file];
             let span = pf.items[node.item].span.clone();
@@ -112,17 +110,13 @@ impl Graph {
                     }
                 }
             }
-            for target in out {
-                callees[id].push(target);
-                callers[target].push(id);
-            }
+            callees[id].extend(out);
         }
 
         Graph {
             parsed,
             fns,
             callees,
-            callers,
         }
     }
 
@@ -138,16 +132,11 @@ impl Graph {
         self.parsed[node.file].span_mentions(self.item(id).span.clone(), ident)
     }
 
-    /// Breadth-first search along `callees` (or `callers` when `reverse`)
-    /// from `seeds`, skipping test fns. Returns a predecessor map:
+    /// Breadth-first search along `callees` from `seeds`, skipping test
+    /// fns. Returns a predecessor map:
     /// `pred[f] = Some(p)` when `f` was reached via `p` (seeds point at
     /// themselves), `None` when unreached.
-    pub fn bfs(&self, seeds: &[usize], reverse: bool) -> Vec<Option<usize>> {
-        let edges = if reverse {
-            &self.callers
-        } else {
-            &self.callees
-        };
+    pub fn bfs(&self, seeds: &[usize]) -> Vec<Option<usize>> {
         let mut pred: Vec<Option<usize>> = vec![None; self.fns.len()];
         let mut queue: Vec<usize> = Vec::new();
         for &s in seeds {
@@ -160,7 +149,7 @@ impl Graph {
         while head < queue.len() {
             let f = queue[head];
             head += 1;
-            for &next in &edges[f] {
+            for &next in &self.callees[f] {
                 if pred[next].is_none() && !self.fns[next].is_test {
                     pred[next] = Some(f);
                     queue.push(next);
@@ -168,22 +157,6 @@ impl Graph {
             }
         }
         pred
-    }
-
-    /// The call chain `to ← … ← seed` implied by a [`Graph::bfs`]
-    /// predecessor map, rendered seed-first as `a → b → c` fn names.
-    pub fn chain(&self, pred: &[Option<usize>], to: usize) -> String {
-        let mut names = Vec::new();
-        let mut cur = to;
-        loop {
-            names.push(self.fns[cur].name.clone());
-            match pred[cur] {
-                Some(p) if p != cur => cur = p,
-                _ => break,
-            }
-        }
-        names.reverse();
-        names.join(" → ")
     }
 }
 
@@ -226,7 +199,7 @@ fn call_sites(pf: &ParsedFile, span: std::ops::Range<usize>) -> Vec<&str> {
 
 /// `crate_dir → transitive dependency crate_dirs`, from the manifests'
 /// `[dependencies]` sections resolved through `[workspace.dependencies]`.
-fn dependency_closure(ws: &Workspace) -> BTreeMap<String, BTreeSet<String>> {
+pub fn dependency_closure(ws: &Workspace) -> BTreeMap<String, BTreeSet<String>> {
     let mut direct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let Some(root) = ws.root_manifest() else {
         return direct;
@@ -345,7 +318,6 @@ popstab-core = { path = \"crates/core\" }
         let step = id(&g, "step", "crates/core/src/lib.rs");
         let shard = id(&g, "shard_work", "crates/sim/src/lib.rs");
         assert!(g.callees[step].contains(&shard), "core → sim edge");
-        assert!(g.callers[shard].contains(&step));
     }
 
     #[test]
@@ -369,10 +341,14 @@ popstab-core = { path = \"crates/core\" }
         let step = id(&g, "step", "crates/core/src/lib.rs");
         let helper = id(&g, "helper", "crates/sim/src/lib.rs");
         let check = id(&g, "check", "crates/core/src/lib.rs");
-        let pred = g.bfs(&[step], false);
+        let pred = g.bfs(&[step]);
         assert!(pred[helper].is_some(), "step → shard_work → helper");
         assert!(pred[check].is_none(), "test fns are not traversed");
-        assert_eq!(g.chain(&pred, helper), "step → shard_work → helper");
+        // The predecessor map records the chain seed-first.
+        let shard = id(&g, "shard_work", "crates/sim/src/lib.rs");
+        assert_eq!(pred[helper], Some(shard));
+        assert_eq!(pred[shard], Some(step));
+        assert_eq!(pred[step], Some(step));
     }
 
     #[test]

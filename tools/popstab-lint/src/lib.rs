@@ -5,16 +5,27 @@
 //! function of `(seed, RunSpec)`, bit-identical from serial to sharded
 //! execution — is enforced dynamically by golden fixtures and property
 //! tests. Those catch a violation only *after* it has perturbed a stream.
-//! This crate is the static half of the contract: a source-level pass that
-//! proves, before anything runs, that no nondeterminism source can reach a
-//! result path.
+//! The static half of the contract has two parts:
 //!
-//! Since PR 10 the pass is item-aware: [`syntax`] parses each file's code
-//! channel into tokens and items (fns, impls, `use`/`type` aliases) and
-//! [`graph`] links them into a workspace-wide approximate call graph,
-//! filtered by the crate dependency closure from the manifests. Rules that
-//! need reachability (nondeterminism taint, `SendPtr` range coverage) walk
-//! that graph; line-shaped rules still scan the lexed channels directly.
+//! - **Clippy** owns every hazard it can see with full name resolution.
+//!   `crates/clippy.toml` and `shims/rand/clippy.toml` ban hash containers
+//!   (`disallowed_types`), clocks, and every `std::env` read
+//!   (`disallowed_methods`); the root manifest denies those two lints and
+//!   `undocumented_unsafe_blocks` for every member. A harmless use is
+//!   escaped with `#[expect(clippy::…, reason = "…")]`.
+//! - **This crate** keeps the contract-specific checks clippy cannot
+//!   express, and checks that the clippy half stays wired up:
+//!   `workspace-manifest-invariants` requires every member to inherit the
+//!   workspace lints, and every result crate and crate in their dependency
+//!   closure to resolve to a `clippy.toml` holding every ban. That closure
+//!   check is what keeps a clock read laundered through a helper crate
+//!   from escaping clippy.
+//!
+//! The pass is item-aware: [`syntax`] parses each file's code channel into
+//! tokens and items (fns, impls, modules) and [`graph`] links them into a
+//! workspace-wide approximate call graph, filtered by the crate dependency
+//! closure from the manifests. `sendptr-bounds` walks that graph;
+//! line-shaped rules scan the lexed channels directly.
 //!
 //! Run it as `cargo run -p popstab-lint` from anywhere in the workspace
 //! (CI runs it between clippy and the test suite). Exit code 0 means the
@@ -27,14 +38,11 @@
 //!
 //! | rule | guards against |
 //! |------|----------------|
-//! | `taint-ambient-nondeterminism` | clock / env / OS-RNG / hash-order reads reachable from result-affecting fns, traced through the call graph and `use`/`type` aliases |
-//! | `forbid-unordered-iteration` | `HashMap`/`HashSet` (per-process `RandomState` iteration order) anywhere in a result-affecting crate |
 //! | `float-order-determinism` | order-sensitive `f64` reductions (`sum`, `fold`) outside the order-fixed `ordered_sum` helper in result/statistics crates |
 //! | `sendptr-bounds` | `SendPtr`/`ColPtr` crossing a pool dispatch or deref'd in a helper without `shard_range`-derived disjoint indices |
-//! | `unsafe-needs-safety-comment` | `unsafe` blocks, fns, or impls without an adjacent `// SAFETY:` soundness argument |
 //! | `simd-scalar-twin` | lane-batched `_x8` kernels without a same-file scalar twin and lane-for-lane equivalence test |
 //! | `stream-version-coherence` | partial stream bumps — version constants, golden-fixture tables, and `BENCH_engine.json` disagreeing |
-//! | `workspace-manifest-invariants` | workspace crates missing the per-package dev/test `opt-level` overrides that keep `cargo test` fast |
+//! | `workspace-manifest-invariants` | workspace crates missing the per-package dev/test `opt-level` overrides that keep `cargo test` fast or `[lints] workspace = true`; result crates or their dependencies whose nearest `clippy.toml` lacks a determinism ban |
 //! | `unused-allow` | `lint:allow` escapes that no longer suppress any finding (stale exceptions rot into holes) |
 //!
 //! (This table is generated — `cargo run -p popstab-lint -- --rules-md` —
@@ -148,12 +156,12 @@ mod tests {
     #[test]
     fn a_valid_allow_suppresses_the_finding() {
         let src = "\
-// lint:allow(forbid-unordered-iteration): membership-only set, never iterated.
-use std::collections::HashSet;
+// lint:allow(float-order-determinism): the caller fixes the slice order.
+fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }
 ";
         let diags = run_lint(&ws_with("crates/sim/src/x.rs", src));
         assert!(
-            !diags.iter().any(|d| d.rule == "forbid-unordered-iteration"),
+            !diags.iter().any(|d| d.rule == "float-order-determinism"),
             "{diags:?}"
         );
         // And a used allow is not stale.
@@ -162,10 +170,11 @@ use std::collections::HashSet;
 
     #[test]
     fn an_unjustified_allow_is_a_finding_and_does_not_suppress() {
-        let src = "use std::collections::HashSet; // lint:allow(forbid-unordered-iteration)\n";
+        let src =
+            "fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() } // lint:allow(float-order-determinism)\n";
         let diags = run_lint(&ws_with("crates/sim/src/x.rs", src));
         assert!(diags.iter().any(|d| d.rule == "lint-allow-syntax"));
-        assert!(diags.iter().any(|d| d.rule == "forbid-unordered-iteration"));
+        assert!(diags.iter().any(|d| d.rule == "float-order-determinism"));
         // Malformed escapes never parse into allows, so nothing to mark stale.
         assert!(!diags.iter().any(|d| d.rule == "unused-allow"));
     }
@@ -173,8 +182,8 @@ use std::collections::HashSet;
     #[test]
     fn an_allow_that_suppresses_nothing_is_stale() {
         let src = "\
-// lint:allow(forbid-unordered-iteration): there used to be a set here.
-use std::collections::BTreeSet;
+// lint:allow(float-order-determinism): there used to be a float sum here.
+fn mean(xs: &[f64]) -> f64 { stats::ordered_sum(xs) }
 ";
         // Keep only the findings about the seeded file — the synthetic
         // workspace is missing the version/manifest artifacts, which the
@@ -186,7 +195,7 @@ use std::collections::BTreeSet;
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, "unused-allow");
         assert_eq!(diags[0].line, 1);
-        assert!(diags[0].message.contains("forbid-unordered-iteration"));
+        assert!(diags[0].message.contains("float-order-determinism"));
     }
 
     #[test]

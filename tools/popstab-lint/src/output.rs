@@ -133,19 +133,14 @@ mod tests {
         vec![Diagnostic::new(
             "crates/sim/src/x.rs",
             3,
-            "taint-ambient-nondeterminism",
+            "float-order-determinism",
             "a \"quoted\" read\nsecond line".to_string(),
         )]
     }
 
     #[test]
     fn json_report_is_versioned_and_escaped() {
-        let s = render(
-            Format::Json,
-            &sample(),
-            42,
-            &["taint-ambient-nondeterminism"],
-        );
+        let s = render(Format::Json, &sample(), 42, &["float-order-determinism"]);
         assert!(s.contains("\"schema_version\": 1"), "{s}");
         assert!(s.contains("\"files_scanned\": 42"), "{s}");
         assert!(s.contains("\"finding_count\": 1"), "{s}");
@@ -154,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_json_report_has_an_empty_findings_array() {
-        let s = render(Format::Json, &[], 42, &["taint-ambient-nondeterminism"]);
+        let s = render(Format::Json, &[], 42, &["float-order-determinism"]);
         assert!(s.contains("\"finding_count\": 0"), "{s}");
         assert!(s.contains("\"findings\": []"), "{s}");
     }
@@ -163,7 +158,7 @@ mod tests {
     fn github_format_emits_error_commands() {
         let s = render(Format::Github, &sample(), 42, &[]);
         assert!(
-            s.starts_with("::error file=crates/sim/src/x.rs,line=3,title=popstab-lint(taint-ambient-nondeterminism)::"),
+            s.starts_with("::error file=crates/sim/src/x.rs,line=3,title=popstab-lint(float-order-determinism)::"),
             "{s}"
         );
         assert!(s.contains("%0A"), "newlines must be escaped: {s}");

@@ -21,8 +21,7 @@
 //! Escape: `lint:allow(float-order-determinism): <why the order is fixed>`.
 
 use crate::diag::Diagnostic;
-use crate::rules::taint::result_scope;
-use crate::rules::{Context, Rule};
+use crate::rules::{result_scope, Context, Rule};
 use crate::syntax::Token;
 
 /// See the module docs.

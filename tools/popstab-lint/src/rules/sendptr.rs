@@ -25,8 +25,7 @@
 //! Escape: `lint:allow(sendptr-bounds): <why the indices are disjoint>`.
 
 use crate::diag::Diagnostic;
-use crate::rules::taint::result_scope;
-use crate::rules::{Context, Rule};
+use crate::rules::{result_scope, Context, Rule};
 
 /// See the module docs.
 pub struct SendPtrBounds;
@@ -55,7 +54,7 @@ impl Rule for SendPtrBounds {
         let seeds: Vec<usize> = (0..g.fns.len())
             .filter(|&f| !g.fns[f].is_test && RANGES.iter().any(|r| g.mentions(f, r)))
             .collect();
-        let covered = g.bfs(&seeds, false);
+        let covered = g.bfs(&seeds);
 
         let mut out = Vec::new();
         for (f, node) in g.fns.iter().enumerate() {

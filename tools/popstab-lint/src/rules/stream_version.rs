@@ -248,7 +248,6 @@ mod tests {
                 SourceFile::new("crates/sim/src/matching.rs", matching),
                 SourceFile::new("crates/sim/src/snapshot.rs", snapshot),
             ],
-            manifests: Vec::new(),
             golden_readme: Some(TextFile {
                 path: "tests/golden/README.md".into(),
                 text: readme,
@@ -257,6 +256,7 @@ mod tests {
                 path: "BENCH_engine.json".into(),
                 text: bench,
             }),
+            ..Workspace::default()
         }
     }
 

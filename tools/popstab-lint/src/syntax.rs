@@ -5,19 +5,18 @@
 //! code channel into a flat token stream and then into *items* — `fn`,
 //! `struct`/`enum`/`trait`, `impl`, `mod`, `use`, `type` — each with a
 //! token span and a test-context flag. The graph layer
-//! ([`crate::graph`]) links items across files; the interprocedural rules
-//! (`taint-ambient-nondeterminism`, `sendptr-bounds`) consume both.
+//! ([`crate::graph`]) links items across files; the interprocedural rule
+//! (`sendptr-bounds`) consumes both. Name resolution is clippy's job: the
+//! determinism bans live in the committed `clippy.toml` files, so `use`
+//! and `type` declarations are skipped, not recorded.
 //!
 //! The parser is deliberately approximate: it never type-checks, it treats
 //! the first `{` after a `fn` signature as the body, and it recurses into
 //! every brace block it does not otherwise understand (so nested fns,
-//! block-local `use`s, and items inside `impl`/`trait` bodies are all
-//! found). `macro_rules!` definitions are skipped wholesale — `$`-fragment
+//! and items inside `impl`/`trait` bodies are all found). `macro_rules!` definitions are skipped wholesale — `$`-fragment
 //! pseudo-items would only pollute the symbol table. What keeps this sound
 //! enough for linting is that braces always balance in lexed Rust, so a
 //! misread item can mis-*label* a span but never desynchronize the walk.
-
-use std::collections::BTreeMap;
 
 use crate::lexer::LexedLine;
 
@@ -69,17 +68,11 @@ pub struct Item {
     pub is_test: bool,
 }
 
-/// A fully parsed file: tokens, items, and the file's name-resolution map.
+/// A fully parsed file: tokens and items.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     pub tokens: Vec<Token>,
     pub items: Vec<Item>,
-    /// Local name → full path, from `use` declarations and `type` aliases
-    /// (`use std::time::Instant;` maps `Instant` → `std::time::Instant`;
-    /// `type Cache = std::collections::HashMap<..>` maps `Cache` likewise).
-    /// Flattened file-wide: block-local `use`s are treated as file-local,
-    /// which over-approximates visibility — fine for a lint.
-    pub aliases: BTreeMap<String, String>,
 }
 
 impl ParsedFile {
@@ -89,73 +82,15 @@ impl ParsedFile {
         let mut p = Parser {
             tokens: &tokens,
             items: Vec::new(),
-            uses: BTreeMap::new(),
-            type_aliases: Vec::new(),
         };
         p.block(0, tokens.len(), false);
         let items = p.items;
-        let type_aliases = p.type_aliases;
-        let mut aliases = p.uses;
-        // Resolve type-alias right-hand sides through the `use` map once
-        // (`type Cache = collections::HashMap<..>` with `use std::collections`
-        // still lands on the std path).
-        for (name, rhs) in type_aliases {
-            let resolved = resolve_path(&aliases, &rhs);
-            aliases.entry(name).or_insert(resolved);
-        }
-        ParsedFile {
-            tokens,
-            items,
-            aliases,
-        }
-    }
-
-    /// Resolves a `::`-joined path through this file's alias map (first
-    /// segment only, like Rust name resolution at the use-declaration level).
-    pub fn resolve(&self, path: &str) -> String {
-        resolve_path(&self.aliases, path)
-    }
-
-    /// The maximal `a::b::c` path sequences inside a token span, resolved
-    /// through the file's aliases, as `(line, resolved_path)` pairs.
-    pub fn paths_in(&self, span: std::ops::Range<usize>) -> Vec<(usize, String)> {
-        let mut out = Vec::new();
-        let toks = &self.tokens[span];
-        let mut i = 0;
-        while i < toks.len() {
-            if !toks[i].is_ident() {
-                i += 1;
-                continue;
-            }
-            let line = toks[i].line;
-            let mut path = toks[i].text.clone();
-            let mut j = i + 1;
-            while j + 1 < toks.len() && toks[j].text == "::" && toks[j + 1].is_ident() {
-                path.push_str("::");
-                path.push_str(&toks[j + 1].text);
-                j += 2;
-            }
-            out.push((line, resolve_path(&self.aliases, &path)));
-            i = j;
-        }
-        out
+        ParsedFile { tokens, items }
     }
 
     /// Whether any token in `span` equals `ident` exactly.
     pub fn span_mentions(&self, span: std::ops::Range<usize>, ident: &str) -> bool {
         self.tokens[span].iter().any(|t| t.text == ident)
-    }
-}
-
-fn resolve_path(aliases: &BTreeMap<String, String>, path: &str) -> String {
-    let (first, rest) = match path.split_once("::") {
-        Some((f, r)) => (f, Some(r)),
-        None => (path, None),
-    };
-    match (aliases.get(first), rest) {
-        (Some(full), Some(rest)) => format!("{full}::{rest}"),
-        (Some(full), None) => full.clone(),
-        (None, _) => path.to_string(),
     }
 }
 
@@ -248,8 +183,6 @@ const MODIFIERS: &[&str] = &["pub", "unsafe", "async", "default", "extern"];
 struct Parser<'a> {
     tokens: &'a [Token],
     items: Vec<Item>,
-    uses: BTreeMap<String, String>,
-    type_aliases: Vec<(String, String)>,
 }
 
 impl Parser<'_> {
@@ -282,7 +215,7 @@ impl Parser<'_> {
         end
     }
 
-    /// Walks `[i, end)` as item-position code, recording items and aliases.
+    /// Walks `[i, end)` as item-position code, recording items.
     /// `in_test` marks every recorded item as test context.
     fn block(&mut self, mut i: usize, end: usize, in_test: bool) {
         let mut pending_test = false;
@@ -321,12 +254,8 @@ impl Parser<'_> {
                 continue;
             }
             match t {
-                "use" => {
-                    i = self.parse_use(i + 1, end);
-                    pending_test = false;
-                }
-                "type" => {
-                    i = self.parse_type_alias(i + 1, end);
+                "use" | "type" => {
+                    i = self.skip_declaration(i + 1, end);
                     pending_test = false;
                 }
                 "fn" => {
@@ -353,7 +282,7 @@ impl Parser<'_> {
                 "{" => {
                     // A block we do not otherwise understand (fn body
                     // statement, match arm, const block): walk inside so
-                    // nested items and block-local `use`s are still found.
+                    // nested items are still found.
                     let close = self.skip_matched(i, end);
                     self.block(i + 1, close.saturating_sub(1), in_test);
                     i = close;
@@ -369,109 +298,12 @@ impl Parser<'_> {
         }
     }
 
-    /// `use a::b::{c, d as e};` starting just past the `use` keyword.
-    fn parse_use(&mut self, mut i: usize, end: usize) -> usize {
+    /// A `use` or `type` declaration starting just past its keyword:
+    /// skipped through its `;`.
+    fn skip_declaration(&self, i: usize, end: usize) -> usize {
         let semi = (i..end)
             .find(|&j| self.text(j) == ";")
             .unwrap_or(end.min(i + 64));
-        self.parse_use_tree(i, semi, "");
-        i = semi + 1;
-        i
-    }
-
-    /// One use-tree in `[i, end)` with the already-accumulated `prefix`.
-    fn parse_use_tree(&mut self, mut i: usize, end: usize, prefix: &str) {
-        let mut path = prefix.to_string();
-        let mut last_seg = String::new();
-        while i < end {
-            let t = self.text(i).to_string();
-            if t == "::" {
-                i += 1;
-                continue;
-            }
-            if t == "{" {
-                // Group: each comma-separated subtree extends `path`.
-                let close = self.skip_matched(i, end);
-                let mut start = i + 1;
-                let mut depth = 0usize;
-                for j in i + 1..close.saturating_sub(1) {
-                    match self.text(j) {
-                        "{" => depth += 1,
-                        "}" => depth = depth.saturating_sub(1),
-                        "," if depth == 0 => {
-                            self.parse_use_tree(start, j, &path.clone());
-                            start = j + 1;
-                        }
-                        _ => {}
-                    }
-                }
-                self.parse_use_tree(start, close.saturating_sub(1), &path.clone());
-                return;
-            }
-            if t == "*" {
-                return; // glob: nothing nameable to record
-            }
-            if t == "as" {
-                let alias = self.text(i + 1).to_string();
-                if !alias.is_empty() && !path.is_empty() {
-                    self.uses.insert(alias, path);
-                }
-                return;
-            }
-            if self.tokens[i].is_ident() {
-                if t == "self" {
-                    // `a::b::self` (in a group) names the prefix itself.
-                    last_seg = path.rsplit("::").next().unwrap_or("").to_string();
-                } else {
-                    if !path.is_empty() {
-                        path.push_str("::");
-                    }
-                    path.push_str(&t);
-                    last_seg = t;
-                }
-                i += 1;
-                continue;
-            }
-            break;
-        }
-        if !last_seg.is_empty() && !path.is_empty() {
-            self.uses.insert(last_seg, path);
-        }
-    }
-
-    /// `type Name = rhs::Path<..>;` starting just past the `type` keyword.
-    fn parse_type_alias(&mut self, i: usize, end: usize) -> usize {
-        let name = self.text(i).to_string();
-        let semi = (i..end).find(|&j| self.text(j) == ";").unwrap_or(end);
-        if let Some(eq) = (i..semi).find(|&j| self.text(j) == "=") {
-            // First path on the right-hand side (`HashMap` of
-            // `HashMap<u32, Vec<u8>>`).
-            let mut rhs = String::new();
-            let mut j = eq + 1;
-            while j < semi {
-                let t = self.text(j);
-                if self.tokens[j].is_ident() {
-                    if !rhs.is_empty() {
-                        rhs.push_str("::");
-                    }
-                    rhs.push_str(t);
-                    j += 1;
-                    if self.text(j) == "::" {
-                        j += 1;
-                        continue;
-                    }
-                    break;
-                }
-                if t == "&" || t == "'_'" || self.tokens[j].text.starts_with('\'') {
-                    j += 1;
-                    continue;
-                }
-                break;
-            }
-            if !name.is_empty() && !rhs.is_empty() {
-                self.type_aliases.push((name, rhs));
-            }
-        }
         semi + 1
     }
 
@@ -640,40 +472,6 @@ mod tests {
     fn cfg_not_test_is_not_test_context() {
         let p = parse("#[cfg(not(test))]\nfn prod() {}\n");
         assert_eq!(fns(&p), vec![("prod", false)]);
-    }
-
-    #[test]
-    fn use_aliases_resolve_including_groups_and_renames() {
-        let src = "use std::time::Instant;\nuse std::collections::{BTreeMap, HashMap as Map};\nuse crate::engine::{self, Engine};\n";
-        let p = parse(src);
-        assert_eq!(p.resolve("Instant::now"), "std::time::Instant::now");
-        assert_eq!(p.resolve("Map"), "std::collections::HashMap");
-        assert_eq!(p.resolve("BTreeMap"), "std::collections::BTreeMap");
-        assert_eq!(p.resolve("engine::shard"), "crate::engine::shard");
-        assert_eq!(p.resolve("Engine"), "crate::engine::Engine");
-        assert_eq!(p.resolve("unknown::path"), "unknown::path");
-    }
-
-    #[test]
-    fn type_aliases_resolve_through_uses() {
-        let src =
-            "use std::collections::HashMap;\ntype Cache = HashMap<u32, u64>;\nfn f(c: &Cache) {}\n";
-        let p = parse(src);
-        assert_eq!(p.resolve("Cache"), "std::collections::HashMap");
-        assert_eq!(p.resolve("Cache::new"), "std::collections::HashMap::new");
-    }
-
-    #[test]
-    fn paths_in_span_resolve_through_aliases() {
-        let src = "use std::time::Instant;\nfn f() { let t = Instant::now(); }\n";
-        let p = parse(src);
-        let f = p.items.iter().find(|i| i.name == "f").unwrap();
-        let paths: Vec<String> = p
-            .paths_in(f.span.clone())
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
-        assert!(paths.contains(&"std::time::Instant::now".to_string()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The lint's view of the workspace: lexed sources, manifests, and the two
-//! non-Rust artifacts the coherence rules cross-check (the golden-fixture
-//! README and `BENCH_engine.json`).
+//! The lint's view of the workspace: lexed sources, manifests, the
+//! `clippy.toml` files clippy would read for them, and the two non-Rust
+//! artifacts the coherence rules cross-check (the golden-fixture README
+//! and `BENCH_engine.json`).
 //!
 //! Everything here is std-only by design: the manifest reader is a minimal
 //! line-oriented TOML subset (sections, `key = value`, string arrays) that
@@ -27,6 +28,9 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// The root `Cargo.toml` (index 0) and every member's manifest.
     pub manifests: Vec<TextFile>,
+    /// Every `clippy.toml`/`.clippy.toml` in a member's directory or one of
+    /// its ancestors up to the root.
+    pub clippy_configs: Vec<TextFile>,
     /// `tests/golden/README.md`, if present.
     pub golden_readme: Option<TextFile>,
     /// `BENCH_engine.json`, if present.
@@ -47,16 +51,23 @@ impl Workspace {
         files.sort_by(|a, b| a.path.cmp(&b.path));
 
         let mut manifests = vec![read_text(root, "Cargo.toml")?];
+        let mut clippy_configs: Vec<TextFile> = Vec::new();
         for member in manifest_members(&manifests[0].text) {
             let rel = format!("{member}/Cargo.toml");
             if root.join(&rel).is_file() {
                 manifests.push(read_text(root, &rel)?);
+            }
+            for rel in clippy_config_paths(&member) {
+                if root.join(&rel).is_file() && !clippy_configs.iter().any(|c| c.path == rel) {
+                    clippy_configs.push(read_text(root, &rel)?);
+                }
             }
         }
 
         Ok(Workspace {
             files,
             manifests,
+            clippy_configs,
             golden_readme: read_text(root, "tests/golden/README.md").ok(),
             bench_json: read_text(root, "BENCH_engine.json").ok(),
         })
@@ -77,10 +88,26 @@ impl Workspace {
             .filter(move |f| prefixes.iter().any(|p| f.path.starts_with(p)))
     }
 
+    /// The clippy configuration clippy applies to the crate at `crate_dir`:
+    /// the nearest file walking up from the crate directory (`.clippy.toml`
+    /// before `clippy.toml` in one directory, as clippy reads them).
+    pub fn clippy_config_for(&self, crate_dir: &str) -> Option<&TextFile> {
+        clippy_config_paths(crate_dir)
+            .find_map(|p| self.clippy_configs.iter().find(|c| c.path == p))
+    }
+
     /// The source file at exactly `path`, if loaded.
     pub fn file(&self, path: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.path == path)
     }
+}
+
+/// The paths clippy tries for the crate at `dir`, nearest first: both file
+/// names in `dir`, then in each ancestor up to the workspace root.
+fn clippy_config_paths(dir: &str) -> impl Iterator<Item = String> + '_ {
+    Path::new(dir).ancestors().flat_map(|d| {
+        [".clippy.toml", "clippy.toml"].map(|n| d.join(n).to_string_lossy().into_owned())
+    })
 }
 
 fn read_text(root: &Path, rel: &str) -> std::io::Result<TextFile> {
@@ -170,41 +197,62 @@ pub fn package_name(manifest: &str) -> Option<String> {
     None
 }
 
-/// The section names (`[…]` headers) present in a manifest.
-pub fn section_names(manifest: &str) -> Vec<String> {
-    manifest
-        .lines()
-        .filter_map(|l| {
-            let l = strip_toml_comment(l).trim().to_string();
-            (l.starts_with('[') && l.ends_with(']'))
-                .then(|| l.trim_matches(|c| c == '[' || c == ']').to_string())
-        })
-        .collect()
-}
-
-/// Whether `section` declares `key` (e.g. `opt-level`) before the next
-/// section header.
-pub fn section_has_key(manifest: &str, section: &str, key: &str) -> bool {
+/// The value `section` gives `key` (e.g. `opt-level`) before the next
+/// section header, trimmed of quotes.
+pub fn section_value(manifest: &str, section: &str, key: &str) -> Option<String> {
     let mut in_section = false;
     for line in manifest.lines() {
-        let line = strip_toml_comment(line).trim().to_string();
+        let line = strip_toml_comment(line).trim();
         if line.starts_with('[') {
             in_section = line.trim_matches(|c| c == '[' || c == ']') == section;
             continue;
         }
         if in_section {
-            if let Some(rest) = line.strip_prefix(key) {
-                if rest.trim_start().starts_with('=') {
-                    return true;
-                }
+            if let Some(value) = line
+                .strip_prefix(key)
+                .and_then(|r| r.trim().strip_prefix('='))
+            {
+                return Some(value.trim().trim_matches('"').to_string());
             }
         }
     }
-    false
+    None
 }
 
-/// The dependency names declared in `[dependencies]` (not dev-dependencies:
-/// dev-only edges cannot reach a shipped result path). Handles both the
+/// The `(list, path)` bans of a clippy configuration: the path of every
+/// entry in its `disallowed-*` arrays (`disallowed-types`,
+/// `disallowed-methods`), written bare (`"std::env::var"`) or as a table
+/// (`{ path = "…", reason = "…" }`), one entry per line. An entry sharing
+/// a line with another is not read, so a ban can be missed but never
+/// invented.
+pub fn clippy_bans(config: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut list = None;
+    for line in config.lines().map(|l| strip_toml_comment(l).trim()) {
+        let mut entry = line;
+        if let Some((key, value)) = line.split_once('=') {
+            if key.trim().starts_with("disallowed-") {
+                (list, entry) = (Some(key.trim()), value);
+            }
+        }
+        let Some(key) = list else { continue };
+        let entry = entry.trim_start_matches(['[', '{', ' ']);
+        let entry = entry
+            .strip_prefix("path")
+            .map_or(entry, |r| r.trim_start_matches([' ', '=']));
+        if let Some(path) = entry.strip_prefix('"').and_then(|r| r.split('"').next()) {
+            out.push((key.to_string(), path.to_string()));
+        }
+        if line.ends_with(']') {
+            list = None;
+        }
+    }
+    out
+}
+
+/// The dependency names declared in `[dependencies]` and
+/// `[target.<cfg>.dependencies]` (not dev-dependencies: dev-only edges
+/// cannot reach a shipped result path). Handles both the
 /// dotted form (`popstab-sim.workspace = true`) and the inline-table form
 /// (`rand = { path = "shims/rand" }`).
 pub fn dependency_names(manifest: &str) -> Vec<String> {
@@ -213,7 +261,8 @@ pub fn dependency_names(manifest: &str) -> Vec<String> {
     for line in manifest.lines() {
         let line = strip_toml_comment(line).trim().to_string();
         if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
+            in_deps = line == "[dependencies]"
+                || (line.starts_with("[target.") && line.ends_with(".dependencies]"));
             continue;
         }
         if in_deps && line.contains('=') {
@@ -303,12 +352,60 @@ opt-level = 3
 
     #[test]
     fn sections_and_keys_resolve() {
-        assert!(section_names(MANIFEST).contains(&"profile.dev.package.popstab-sim".to_string()));
-        assert!(section_has_key(
-            MANIFEST,
-            "profile.dev.package.popstab-sim",
-            "opt-level"
-        ));
-        assert!(!section_has_key(MANIFEST, "package", "opt-level"));
+        assert_eq!(
+            section_value(MANIFEST, "profile.dev.package.popstab-sim", "opt-level").as_deref(),
+            Some("3")
+        );
+        assert_eq!(section_value(MANIFEST, "package", "opt-level"), None);
+    }
+
+    #[test]
+    fn dependency_names_include_target_specific_sections() {
+        let manifest = "[dependencies]\na.workspace = true\n[dev-dependencies]\nb = \"1\"\n\
+                        [target.'cfg(unix)'.dependencies]\nc = { path = \"../c\" }\n";
+        assert_eq!(dependency_names(manifest), vec!["a", "c"]);
+    }
+
+    #[test]
+    fn clippy_bans_read_bare_and_table_entries() {
+        let config = r#"
+avoid-breaking-exported-api = false # not a ban
+disallowed-types = [
+    "std::collections::HashMap",
+    { path = "std::time::Instant", reason = "see std::env::var" }, # a [comment]
+]
+disallowed-methods = [{ path = "std::env::var" }]
+"#;
+        let bans = clippy_bans(config);
+        let ban = |l: &str, p: &str| (l.to_string(), p.to_string());
+        assert_eq!(
+            bans,
+            vec![
+                ban("disallowed-types", "std::collections::HashMap"),
+                ban("disallowed-types", "std::time::Instant"),
+                ban("disallowed-methods", "std::env::var"),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_nearest_clippy_config_wins() {
+        let config = |path: &str| TextFile {
+            path: path.into(),
+            text: String::new(),
+        };
+        let ws = Workspace {
+            clippy_configs: vec![
+                config("crates/clippy.toml"),
+                config("crates/bench/clippy.toml"),
+                config("crates/bench/.clippy.toml"),
+            ],
+            ..Workspace::default()
+        };
+        let nearest = |dir| ws.clippy_config_for(dir).map(|c| c.path.as_str());
+        assert_eq!(nearest("crates/sim"), Some("crates/clippy.toml"));
+        assert_eq!(nearest("crates/bench"), Some("crates/bench/.clippy.toml"));
+        assert_eq!(nearest("shims/rand"), None);
+        assert_eq!(nearest("."), None);
     }
 }

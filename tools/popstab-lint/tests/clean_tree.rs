@@ -41,9 +41,8 @@ fn the_current_tree_is_lint_clean() {
 }
 
 /// Writes the seeded workspace: one violation per rule, including the
-/// interprocedural laundering shape (a wall-clock read in a non-result
-/// shim crate, reachable from `crates/core` through the dependency-filtered
-/// call graph).
+/// laundering shape (a wall-clock read in a helper crate that `crates/core`
+/// depends on, with no `clippy.toml` of its own to ban it).
 fn write_seeded_workspace(seeded: &Path) {
     let core = seeded.join("crates/core/src");
     let sim = seeded.join("crates/sim/src");
@@ -51,6 +50,13 @@ fn write_seeded_workspace(seeded: &Path) {
     for dir in [&core, &sim, &shim] {
         std::fs::create_dir_all(dir).expect("mkdir");
     }
+    // The committed bans cover `crates/`, so the only uncovered crate in
+    // the result closure is the helper.
+    std::fs::copy(
+        repo_root().join("crates/clippy.toml"),
+        seeded.join("crates/clippy.toml"),
+    )
+    .expect("copy crates/clippy.toml");
     std::fs::write(
         seeded.join("Cargo.toml"),
         // Violates workspace-manifest-invariants: no opt-level overrides.
@@ -74,8 +80,8 @@ fn write_seeded_workspace(seeded: &Path) {
     )
     .unwrap();
 
-    // taint-ambient-nondeterminism, the laundering shape: the source lives
-    // outside the result crates and only the call graph connects it.
+    // workspace-manifest-invariants, the laundering shape: the read lives
+    // outside the result crates, in a crate clippy's bans do not reach.
     std::fs::write(
         core.join("lib.rs"),
         "pub fn step() -> u64 { wall_stamp() }\n\
@@ -95,12 +101,6 @@ fn write_seeded_workspace(seeded: &Path) {
             // stream-version-coherence: constant present, README/JSON absent.
             "pub const AGENT_STREAM_VERSION: u32 = 3;\n",
             "pub const MATCHING_STREAM_VERSION: u32 = 2;\n",
-            // taint-ambient-nondeterminism, the direct shape:
-            "fn now_tick() -> u64 { let _ = Instant::now(); 0 }\n",
-            // forbid-unordered-iteration:
-            "use std::collections::HashMap;\n",
-            // unsafe-needs-safety-comment:
-            "fn f(p: *mut u8) { unsafe { *p = 0 }; }\n",
             // sendptr-bounds: raw shard pointer across a dispatch with no
             // shard_range-derived partition.
             "fn par(pool: &Pool, buf: *mut u64) {\n",
@@ -114,9 +114,9 @@ fn write_seeded_workspace(seeded: &Path) {
             "fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
             // simd-scalar-twin: kernel with no scalar twin, no test.
             "fn dash_x8(xs: &[u64; 8]) -> [u64; 8] { *xs }\n",
-            // unused-allow: the set it silenced is long gone.
-            "// lint:allow(forbid-unordered-iteration): the hash set below was replaced.\n",
-            "use std::collections::BTreeSet;\n",
+            // unused-allow: the sum it silenced is long gone.
+            "// lint:allow(float-order-determinism): the float sum below was replaced.\n",
+            "fn total(xs: &[u64]) -> u64 { xs.len() as u64 }\n",
             // lint-allow-syntax: justification below the 15-char floor.
             "fn g() {} // lint:allow(simd-scalar-twin): elsewhere\n",
         ),
@@ -161,11 +161,8 @@ fn the_binary_exits_zero_on_the_tree_and_nonzero_on_a_seeded_tree() {
     std::fs::remove_dir_all(&seeded).ok();
     assert!(!bad.status.success(), "seeded tree passed:\n{stdout}");
     for rule in [
-        "taint-ambient-nondeterminism",
-        "forbid-unordered-iteration",
         "float-order-determinism",
         "sendptr-bounds",
-        "unsafe-needs-safety-comment",
         "simd-scalar-twin",
         "stream-version-coherence",
         "workspace-manifest-invariants",
@@ -174,11 +171,15 @@ fn the_binary_exits_zero_on_the_tree_and_nonzero_on_a_seeded_tree() {
     ] {
         assert!(stdout.contains(rule), "rule {rule} did not fire:\n{stdout}");
     }
-    // The laundering finding names the cross-crate call chain: the read in
-    // the shim was reached *from* result-affecting code.
+    // The laundering finding names the uncovered helper crate, and only
+    // it: `crates/core` and `crates/sim` resolve to the committed bans.
     assert!(
-        stdout.contains("reached from result-affecting code via") && stdout.contains("wall_stamp"),
-        "interprocedural taint chain missing:\n{stdout}"
+        stdout.contains("crate `shims/timeutil` can reach a simulation result"),
+        "laundering helper not reported:\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("lacks the") && !stdout.contains("crate `crates/"),
+        "the committed bans were reported incomplete:\n{stdout}"
     );
     assert!(
         !json_out.status.success(),
@@ -186,7 +187,7 @@ fn the_binary_exits_zero_on_the_tree_and_nonzero_on_a_seeded_tree() {
     );
     assert!(json.contains("\"schema_version\": 1"), "{json}");
     assert!(
-        json.contains("\"rule\": \"taint-ambient-nondeterminism\""),
+        json.contains("\"rule\": \"workspace-manifest-invariants\""),
         "{json}"
     );
 }

@@ -178,14 +178,3 @@ fn parser_fixture_table() {
         assert_eq!(got, want, "[{}]", case.name);
     }
 }
-
-#[test]
-fn aliases_resolve_through_use_and_type_declarations() {
-    let src = "use std::time::Instant;\nuse std::collections::HashMap as Map;\n\
-               type Cache = Map<u32, u64>;\nfn f() {}\n";
-    let parsed = ParsedFile::parse(&lex(src));
-    assert_eq!(parsed.resolve("Instant::now"), "std::time::Instant::now");
-    assert_eq!(parsed.resolve("Map"), "std::collections::HashMap");
-    assert_eq!(parsed.resolve("Cache"), "std::collections::HashMap");
-    assert_eq!(parsed.resolve("Untouched::path"), "Untouched::path");
-}
